@@ -63,11 +63,12 @@ MODE="${1:-tier1}"
 JOBS="$(nproc 2>/dev/null || echo 4)"
 
 # The concurrency-sensitive suites worth a TSan pass: the pinned-handle
-# cache, the buffer pool, the RPC stack (reactors + work stealing) and
-# the client read path.
+# cache, the buffer pool, the RPC stack (reactors + work stealing), the
+# client read path and the hit path (inline on the reactor, deferred to
+# the pool on a miss).
 TSAN_SUITES="test_storage test_common test_rpc test_async_rpc \
 test_client_edge test_stress test_trace test_reactor test_write_journal \
-test_prefetch"
+test_prefetch test_hit_path"
 
 case "$MODE" in
   tier1)

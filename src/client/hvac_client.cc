@@ -664,6 +664,16 @@ Result<size_t> HvacClient::pread_attempt(int vfd, void* buf, size_t count,
     stats_.bytes_read += static_cast<uint64_t>(n);
     return static_cast<size_t>(n);
   }
+  // EOF answered locally: a read fd's size is authoritative (the
+  // server clamps every read to it, and a short read mid-file is
+  // recovered below as a fault), so a read at or past it needs no
+  // round trip.
+  if (!entry.writable && offset >= entry.size) {
+    stall_charge(core::StallBucket::kLocalHit);
+    std::lock_guard<std::mutex> lock(stats_mutex_);
+    ++stats_.reads;
+    return size_t{0};
+  }
 
   auto* out = static_cast<uint8_t*>(buf);
   size_t total = 0;

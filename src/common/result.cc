@@ -20,6 +20,7 @@ const char* error_code_name(ErrorCode code) {
     case ErrorCode::kCancelled: return "CANCELLED";
     case ErrorCode::kUnimplemented: return "UNIMPLEMENTED";
     case ErrorCode::kInternal: return "INTERNAL";
+    case ErrorCode::kWouldBlock: return "WOULD_BLOCK";
   }
   return "UNKNOWN";
 }
@@ -40,6 +41,7 @@ int error_code_to_errno(ErrorCode code) {
     case ErrorCode::kCancelled: return ECANCELED;
     case ErrorCode::kUnimplemented: return ENOSYS;
     case ErrorCode::kInternal: return EIO;
+    case ErrorCode::kWouldBlock: return EAGAIN;
   }
   return EIO;
 }

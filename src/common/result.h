@@ -34,6 +34,9 @@ enum class ErrorCode : int {
   kCancelled = 11,      // queue closed / shutdown in progress
   kUnimplemented = 12,
   kInternal = 13,
+  // Server-internal, never on the wire: a reactor-thread attempt that
+  // needs blocking work (a cache miss) and must be re-run pooled.
+  kWouldBlock = 14,
 };
 
 const char* error_code_name(ErrorCode code);

@@ -4,35 +4,6 @@
 
 namespace hvac {
 
-ThreadPool::ThreadPool(size_t num_threads, size_t queue_capacity)
-    : tasks_(queue_capacity) {
-  workers_.reserve(num_threads);
-  for (size_t i = 0; i < num_threads; ++i) {
-    workers_.emplace_back([this] { worker_loop(); });
-  }
-}
-
-ThreadPool::~ThreadPool() { shutdown(); }
-
-Status ThreadPool::submit(std::function<void()> task) {
-  return tasks_.push(std::move(task));
-}
-
-void ThreadPool::shutdown() {
-  tasks_.close();
-  for (auto& worker : workers_) {
-    if (worker.joinable()) worker.join();
-  }
-}
-
-void ThreadPool::worker_loop() {
-  for (;;) {
-    Result<std::function<void()>> task = tasks_.pop();
-    if (!task.ok()) return;  // closed and drained
-    (*task)();
-  }
-}
-
 WorkStealingPool::WorkStealingPool(Options options)
     : options_(std::move(options)) {
   const size_t shards = options_.shards == 0 ? 1 : options_.shards;
@@ -66,14 +37,47 @@ Status WorkStealingPool::submit(size_t shard, std::function<void()> task) {
     s.depth.store(s.tasks.size(), std::memory_order_relaxed);
   }
   pending_.fetch_add(1, std::memory_order_release);
-  sleep_cv_.notify_one();
+  // Wake a worker that can run the task: a sleeping home worker first;
+  // failing that (all busy), a sleeping thief when stealing is on.
+  // With stealing off a busy home shard needs no wake — its workers
+  // re-check the deque before they sleep.
+  const size_t home = shard % shards_.size();
+  if (wake_one(home) || !options_.steal_enabled) return Status::Ok();
+  for (size_t i = 1; i < shards_.size(); ++i) {
+    if (wake_one((home + i) % shards_.size())) break;
+  }
   return Status::Ok();
+}
+
+bool WorkStealingPool::wake_one(size_t shard) {
+  Shard& s = *shards_[shard];
+  {
+    // Taking the sleep mutex orders this against a worker between its
+    // has_work() check and its wait: either it sees the new task, or
+    // it is already counted in `sleepers` and gets the notify.
+    std::lock_guard<std::mutex> lock(s.sleep_mutex);
+    if (s.sleepers == 0) return false;
+  }
+  // Notified after the unlock, so the woken worker does not block at
+  // once on the mutex this thread still holds.
+  s.sleep_cv.notify_one();
+  return true;
+}
+
+bool WorkStealingPool::has_work(size_t home) const {
+  if (options_.steal_enabled) {
+    return pending_.load(std::memory_order_acquire) > 0;
+  }
+  return shards_[home]->depth.load(std::memory_order_relaxed) > 0;
 }
 
 void WorkStealingPool::shutdown() {
   bool expected = false;
   if (stopping_.compare_exchange_strong(expected, true)) {
-    sleep_cv_.notify_all();
+    for (auto& s : shards_) {
+      std::lock_guard<std::mutex> lock(s->sleep_mutex);
+      s->sleep_cv.notify_all();
+    }
   }
   for (auto& worker : workers_) {
     if (worker.joinable()) worker.join();
@@ -154,7 +158,8 @@ void WorkStealingPool::worker_loop(size_t home) {
       task();
       continue;
     }
-    std::unique_lock<std::mutex> lock(sleep_mutex_);
+    Shard& own = *shards_[home];
+    std::unique_lock<std::mutex> lock(own.sleep_mutex);
     if (stopping_.load(std::memory_order_acquire)) {
       // Draining shutdown: exit only once every shard is empty. With
       // stealing off, a worker still drains foreign shards here so no
@@ -172,10 +177,11 @@ void WorkStealingPool::worker_loop(size_t home) {
       }
       continue;
     }
-    sleep_cv_.wait_for(lock, std::chrono::milliseconds(50), [this] {
-      return pending_.load(std::memory_order_acquire) > 0 ||
-             stopping_.load(std::memory_order_acquire);
+    ++own.sleepers;
+    own.sleep_cv.wait_for(lock, std::chrono::milliseconds(50), [&] {
+      return has_work(home) || stopping_.load(std::memory_order_acquire);
     });
+    --own.sleepers;
   }
 }
 

@@ -1,6 +1,4 @@
-// Fixed-size worker pool used by HVAC servers to run RPC handlers and
-// by the benches to parallelize independent simulator runs, plus the
-// sharded work-stealing pool backing the multi-reactor RPC server.
+// The sharded work-stealing pool backing the multi-reactor RPC server.
 #pragma once
 
 #include <atomic>
@@ -13,34 +11,9 @@
 #include <thread>
 #include <vector>
 
-#include "common/mpmc_queue.h"
+#include "common/result.h"
 
 namespace hvac {
-
-class ThreadPool {
- public:
-  // `num_threads` workers; `queue_capacity` bounds backlog so a
-  // misbehaving producer blocks instead of exhausting memory.
-  explicit ThreadPool(size_t num_threads, size_t queue_capacity = 1024);
-  ~ThreadPool();
-
-  ThreadPool(const ThreadPool&) = delete;
-  ThreadPool& operator=(const ThreadPool&) = delete;
-
-  // Blocks when the queue is full; returns kCancelled after shutdown.
-  Status submit(std::function<void()> task);
-
-  // Drains outstanding tasks and joins the workers. Idempotent.
-  void shutdown();
-
-  size_t num_threads() const { return workers_.size(); }
-
- private:
-  void worker_loop();
-
-  MpmcQueue<std::function<void()>> tasks_;
-  std::vector<std::thread> workers_;
-};
 
 // Sharded handler pool with work stealing. Each shard (one per
 // reactor) owns a bounded FIFO deque and a set of home workers; an
@@ -104,18 +77,25 @@ class WorkStealingPool {
     std::atomic<size_t> depth{0};
     std::atomic<uint64_t> steals{0};
     std::atomic<uint64_t> steal_backoffs{0};
+    // Per-shard sleep: this shard's idle home workers wait here, so
+    // submit() wakes a worker that can actually run the task (with
+    // stealing off, a foreign worker could not).
+    std::mutex sleep_mutex;
+    std::condition_variable sleep_cv;
+    size_t sleepers = 0;  // guarded by sleep_mutex
   };
 
   bool try_pop(size_t shard, std::function<void()>* out);
+  // Wakes one sleeping worker of `shard`; false when none sleeps.
+  bool wake_one(size_t shard);
+  // Work a worker of `home` may take right now (sleep predicate).
+  bool has_work(size_t home) const;
   void worker_loop(size_t home);
 
   const Options options_;
   std::vector<std::unique_ptr<Shard>> shards_;
-  // Sleep/wake plumbing shared by all workers: `pending_` counts
-  // queued tasks across shards so an idle worker knows whether a
+  // Queued tasks across all shards, so an idle worker knows whether a
   // steal scan is worth another pass before sleeping.
-  std::mutex sleep_mutex_;
-  std::condition_variable sleep_cv_;
   std::atomic<size_t> pending_{0};
   std::atomic<bool> stopping_{false};
   std::vector<std::thread> workers_;

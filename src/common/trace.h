@@ -97,6 +97,9 @@ class Span {
   bool armed() const { return armed_; }
   uint32_t id() const { return span_id_; }
   void set_arg(uint64_t arg) { arg_ = arg; }
+  // Drops the span unrecorded (an attempt that turned out not to
+  // happen) and restores the thread's previous trace state.
+  void discard();
 
   // Zero-duration child of the current active span ("retry happened",
   // "meta cache miss"). No-op when tracing is off or no trace active.

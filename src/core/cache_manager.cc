@@ -27,16 +27,18 @@ bool CacheManager::make_room(uint64_t needed) {
   return true;
 }
 
+bool CacheManager::try_hit(const std::string& key) {
+  if (!store_->contains(key)) return false;
+  eviction_->on_access(key);
+  metrics_.on_hit();
+  return true;
+}
+
 Result<bool> CacheManager::ensure_key_cached(
     const std::string& key,
     const std::function<Result<uint64_t>()>& sized,
     const std::function<Result<uint64_t>(const std::string& dst)>& fetch) {
-  // Fast path: already cached.
-  if (store_->contains(key)) {
-    eviction_->on_access(key);
-    metrics_.on_hit();
-    return true;
-  }
+  if (try_hit(key)) return true;
 
   // Serialize concurrent first-reads of the same key.
   {
@@ -45,19 +47,10 @@ Result<bool> CacheManager::ensure_key_cached(
       metrics_.on_dedup_wait();
       inflight_cv_.wait(lock, [&] { return inflight_.count(key) == 0; });
       // The winner finished; it either cached the key or decided on
-      // fallback. Re-check the store.
-      if (store_->contains(key)) {
-        eviction_->on_access(key);
-        metrics_.on_hit();
-        return true;
-      }
-      return false;  // winner fell back to PFS (capacity)
+      // fallback (capacity: serve from the PFS). Re-check the store.
+      return try_hit(key);
     }
-    if (store_->contains(key)) {
-      eviction_->on_access(key);
-      metrics_.on_hit();
-      return true;
-    }
+    if (try_hit(key)) return true;
     inflight_.insert(key);
   }
 

@@ -44,6 +44,11 @@ class CacheManager {
   // or an error if the PFS itself failed.
   Result<bool> ensure_cached(const std::string& logical_path);
 
+  // The hit probe: when `key` is resident, records the access (eviction
+  // recency + hit counter) and returns true; otherwise changes nothing.
+  // Never blocks on a copy, so a reactor thread may call it.
+  bool try_hit(const std::string& key);
+
   // Opens the cached copy (ensure_cached must have returned true).
   Result<storage::PosixFile> open_cached(const std::string& logical_path);
 

@@ -51,7 +51,8 @@ class DataMover {
   // future, no second queue slot).
   std::shared_future<Result<bool>> submit(std::string logical_path);
 
-  // Convenience: submit and wait.
+  // Submit and wait — except for a resident file, which is answered
+  // by CacheManager::try_hit without touching the queue.
   Result<bool> fetch(const std::string& logical_path);
 
   // Stops accepting work, drains the queue and joins. Idempotent.

@@ -160,6 +160,7 @@ class ScopedLatencyTimer {
   ScopedLatencyTimer(OpLatencySet& set, uint16_t op)
       : set_(set), op_(op), start_(std::chrono::steady_clock::now()) {}
   ~ScopedLatencyTimer() {
+    if (discarded_) return;
     const auto ns = std::chrono::duration_cast<std::chrono::nanoseconds>(
         std::chrono::steady_clock::now() - start_);
     set_.record(op_, static_cast<uint64_t>(ns.count()));
@@ -167,10 +168,15 @@ class ScopedLatencyTimer {
   ScopedLatencyTimer(const ScopedLatencyTimer&) = delete;
   ScopedLatencyTimer& operator=(const ScopedLatencyTimer&) = delete;
 
+  // Records nothing: the timed attempt was deferred and the op is
+  // timed again where it actually runs.
+  void discard() { discarded_ = true; }
+
  private:
   OpLatencySet& set_;
   uint16_t op_;
   std::chrono::steady_clock::time_point start_;
+  bool discarded_ = false;
 };
 
 // ---- client read-ahead counters -------------------------------------------

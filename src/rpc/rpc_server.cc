@@ -20,6 +20,12 @@
 
 namespace hvac::rpc {
 
+namespace {
+thread_local bool t_on_reactor = false;
+}  // namespace
+
+bool RpcServer::on_reactor_thread() { return t_on_reactor; }
+
 // One reactor: an epoll loop thread that owns a listener shard and
 // every connection it accepted. All read-side state for a connection
 // is touched only by its owning reactor thread; response writes (from
@@ -363,6 +369,7 @@ void maybe_pin_reactor(uint32_t reactor_id) {
 }  // namespace
 
 void RpcServer::reactor_loop(Reactor& r) {
+  t_on_reactor = true;
   maybe_pin_reactor(r.id);
   const size_t count = reactors_.size();
   if (count > 1) {
@@ -685,58 +692,69 @@ Status RpcServer::write_response(const std::shared_ptr<Connection>& conn,
   return Status::Ok();
 }
 
-void RpcServer::run_request(const std::shared_ptr<Connection>& conn,
+bool RpcServer::run_request(const std::shared_ptr<Connection>& conn,
                             const FrameHeader& header, const Bytes& payload,
                             uint64_t enqueue_ns) {
   const uint32_t reactor_id = conn->reactor->id;
-  // Adopt the caller's context (no-op for untraced frames), make the
-  // pool wait visible as its own span — zero-length for inline
-  // dispatch, where the handler runs on the reactor with no queue —
-  // then wrap the handler + send. Both spans carry the reactor id so
-  // a timeline groups by core: server.queue's arg is the id itself,
-  // server.dispatch packs it above the opcode.
+  // Adopt the caller's context (no-op for untraced frames) and wrap
+  // the handler + send in server.dispatch. The pool wait becomes its
+  // own server.queue span, emitted once the request is known to run
+  // here (zero-length for inline dispatch, where the handler runs on
+  // the reactor with no queue; a deferred attempt emits neither).
+  // Both spans carry the reactor id so a timeline groups by core:
+  // server.queue's arg is the id itself, server.dispatch packs it
+  // above the opcode.
   trace::ScopedContext adopt(header.trace);
-  if (enqueue_ns != 0 && header.has_trace) {
-    trace::emit("server.queue", enqueue_ns, trace::now_ns(), reactor_id);
-  }
-  trace::Span dspan("server.dispatch",
-                    (static_cast<uint64_t>(reactor_id) << 32) |
-                        header.opcode);
-  Result<Payload> result = [&]() -> Result<Payload> {
-    auto it = handlers_.find(header.opcode);
-    if (it == handlers_.end()) {
-      return Error(ErrorCode::kUnimplemented,
-                   "no handler for opcode " + std::to_string(header.opcode));
+  const uint64_t start_ns =
+      enqueue_ns != 0 && header.has_trace ? trace::now_ns() : 0;
+  {
+    trace::Span dspan("server.dispatch",
+                      (static_cast<uint64_t>(reactor_id) << 32) |
+                          header.opcode);
+    Result<Payload> result = [&]() -> Result<Payload> {
+      auto it = handlers_.find(header.opcode);
+      if (it == handlers_.end()) {
+        return Error(ErrorCode::kUnimplemented,
+                     "no handler for opcode " +
+                         std::to_string(header.opcode));
+      }
+      return it->second.fn(payload);
+    }();
+    if (t_on_reactor && is_deferred(result)) {
+      dspan.discard();
+      return false;
     }
-    return it->second.fn(payload);
-  }();
 
-  FrameHeader resp;
-  resp.request_id = header.request_id;
-  resp.opcode = header.opcode;
-  resp.kind = FrameKind::kResponse;
-  Payload body;
-  if (result.ok()) {
-    resp.status = ErrorCode::kOk;
-    body = std::move(result).value();
-  } else {
-    resp.status = result.error().code;
-    WireWriter w;
-    w.put_string(result.error().message);
-    body = Payload(std::move(w).take());
+    FrameHeader resp;
+    resp.request_id = header.request_id;
+    resp.opcode = header.opcode;
+    resp.kind = FrameKind::kResponse;
+    Payload body;
+    if (result.ok()) {
+      resp.status = ErrorCode::kOk;
+      body = std::move(result).value();
+    } else {
+      resp.status = result.error().code;
+      WireWriter w;
+      w.put_string(result.error().message);
+      body = Payload(std::move(w).take());
+    }
+    resp.payload_len = static_cast<uint32_t>(body.total_size());
+
+    // Count before the write so a client that has already seen the
+    // response also sees the counter (tests rely on this ordering).
+    requests_served_.fetch_add(1, std::memory_order_relaxed);
+    conn->reactor->requests.fetch_add(1, std::memory_order_relaxed);
+    if (Status ws = write_response(conn, resp, body); !ws.ok()) {
+      // The header may already be on the wire with the payload short:
+      // nothing valid can follow, so shut the socket down and let the
+      // owning reactor reap the connection (it owns drop_connection).
+      HVAC_LOG_DEBUG("response write failed: " << ws.error().to_string());
+      ::shutdown(conn->fd.get(), SHUT_RDWR);
+    }
   }
-  resp.payload_len = static_cast<uint32_t>(body.total_size());
-
-  // Count before the write so a client that has already seen the
-  // response also sees the counter (tests rely on this ordering).
-  requests_served_.fetch_add(1, std::memory_order_relaxed);
-  conn->reactor->requests.fetch_add(1, std::memory_order_relaxed);
-  if (Status ws = write_response(conn, resp, body); !ws.ok()) {
-    // The header may already be on the wire with the payload short:
-    // nothing valid can follow, so shut the socket down and let the
-    // owning reactor reap the connection (it owns drop_connection).
-    HVAC_LOG_DEBUG("response write failed: " << ws.error().to_string());
-    ::shutdown(conn->fd.get(), SHUT_RDWR);
+  if (start_ns != 0) {
+    trace::emit("server.queue", enqueue_ns, start_ns, reactor_id);
   }
   if (draining_.load(std::memory_order_acquire)) {
     ResilienceCounters::global().drained_requests.fetch_add(
@@ -744,6 +762,7 @@ void RpcServer::run_request(const std::shared_ptr<Connection>& conn,
   }
   conn->inflight.fetch_sub(1, std::memory_order_relaxed);
   inflight_.fetch_sub(1, std::memory_order_acq_rel);
+  return true;
 }
 
 void RpcServer::dispatch(const std::shared_ptr<Connection>& conn,
@@ -774,10 +793,12 @@ void RpcServer::dispatch(const std::shared_ptr<Connection>& conn,
   if (auto it = handlers_.find(header.opcode); it != handlers_.end()) {
     hint = it->second.hint;
   }
-  if (hint == DispatchHint::kInline) {
-    // Fast path: run on the owning reactor, no queue, no wake, no
-    // cross-core handoff. The handler promised not to block.
-    run_request(conn, header, payload, enqueue_ns);
+  // Fast path: run on the owning reactor, no queue, no wake, no
+  // cross-core handoff. The handler promised not to block; one that
+  // would (a cache miss) deferred, and the same request — still
+  // holding its in-flight slot — goes to the pool below.
+  if (hint == DispatchHint::kInline &&
+      run_request(conn, header, payload, enqueue_ns)) {
     return;
   }
 

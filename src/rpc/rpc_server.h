@@ -41,8 +41,17 @@ using PayloadHandler = std::function<Result<Payload>(const Bytes& request)>;
 // queue/wake cost for fast hit-path handlers (ping, cached reads) at
 // the price of stalling that reactor's other connections for the
 // handler's duration — only mark handlers that never block on
-// anything slower than local NVMe.
+// anything slower than local NVMe. An inline handler that finds it
+// would have to block (a cache miss) returns ErrorCode::kWouldBlock
+// instead; the server then re-runs the same request on the pool, where
+// RpcServer::on_reactor_thread() is false and the handler may block.
 enum class DispatchHint : uint8_t { kPooled = 0, kInline };
+
+// True for a result that asks to be re-run pooled (see DispatchHint).
+template <typename T>
+bool is_deferred(const Result<T>& result) {
+  return !result.ok() && result.error().code == ErrorCode::kWouldBlock;
+}
 
 struct RpcServerOptions {
   // Bind address: "127.0.0.1:0" for an ephemeral TCP port, or
@@ -118,6 +127,10 @@ class RpcServer {
   // The bound address (useful with port 0).
   const Endpoint& endpoint() const { return bound_; }
 
+  // True on a reactor thread (of any RpcServer in the process): an
+  // inline handler must not block here and defers with kWouldBlock.
+  static bool on_reactor_thread();
+
   // The zero-copy send mode resolved at start() (HVAC_ZEROCOPY or the
   // capability probe). Handlers consult this to decide whether to
   // return file extents or stage bytes through the buffer pool.
@@ -152,7 +165,9 @@ class RpcServer {
   void handle_readable(Reactor& r, const std::shared_ptr<Connection>& conn);
   void dispatch(const std::shared_ptr<Connection>& conn, FrameHeader header,
                 Bytes payload);
-  void run_request(const std::shared_ptr<Connection>& conn,
+  // Runs the handler and writes the response. Returns false, having
+  // answered and counted nothing, when the handler deferred.
+  bool run_request(const std::shared_ptr<Connection>& conn,
                    const FrameHeader& header, const Bytes& payload,
                    uint64_t enqueue_ns);
   // Writes one response frame (header + memory head + extents) under

@@ -29,6 +29,13 @@ rpc::RpcServerOptions make_rpc_options(const HvacServerOptions& o) {
   return r;
 }
 
+// Answer of a reactor-thread attempt that would block (cache miss,
+// eviction race, PFS-backed read): the RPC server re-runs the request
+// pooled, where the blocking path is allowed.
+Error defer_to_pool() {
+  return Error(ErrorCode::kWouldBlock, "miss: deferred to the pool");
+}
+
 }  // namespace
 
 HvacServer::HvacServer(storage::PfsBackend* pfs, HvacServerOptions options)
@@ -277,58 +284,54 @@ size_t HvacServer::open_remote_fds() const {
 void HvacServer::register_handlers() {
   // Every handler runs under a ScopedLatencyTimer so the metrics frame
   // can report per-op p50/p99; the timer covers handler execution on
-  // the pool thread (queueing and socket time excluded).
-  // Ping, cached reads and close are hit-path fast (no mover, no PFS
-  // round trip in the common case): run them inline on the owning
-  // reactor thread, skipping the pool queue/wake entirely. Everything
-  // mover- or PFS-bound stays pooled so a slow fetch cannot stall a
-  // reactor's other connections.
+  // whichever thread runs it (queueing and socket time excluded). An
+  // inline attempt that defers to the pool is not timed: the op counts
+  // once, where it completes.
+  auto timed = [this](uint16_t op, auto handler) {
+    return [this, op, handler](const Bytes& req) {
+      core::ScopedLatencyTimer t(latency_, op);
+      auto result = (this->*handler)(req);
+      if (rpc::is_deferred(result)) t.discard();
+      return result;
+    };
+  };
+  // Hit-path ops run inline on the owning reactor thread, skipping the
+  // pool queue/wake entirely: ping, close, the in-memory packed index,
+  // and open/read/scatter — which serve a resident file to completion
+  // there and defer to the pool on a miss (kWouldBlock), so a slow
+  // fetch never stalls a reactor's other connections. Everything else
+  // is mover-, PFS- or journal-bound and stays pooled.
+  constexpr auto kInline = rpc::DispatchHint::kInline;
   rpc_.register_handler(proto::kPing, [this](const Bytes&) -> Result<Bytes> {
     core::ScopedLatencyTimer t(latency_, proto::kPing);
     return Bytes{};
-  }, rpc::DispatchHint::kInline);
-  rpc_.register_handler(proto::kOpen, [this](const Bytes& req) {
-    core::ScopedLatencyTimer t(latency_, proto::kOpen);
-    return handle_open(req);
-  });
-  rpc_.register_payload_handler(proto::kRead, [this](const Bytes& req) {
-    core::ScopedLatencyTimer t(latency_, proto::kRead);
-    return handle_read(req);
-  }, rpc::DispatchHint::kInline);
-  rpc_.register_handler(proto::kClose, [this](const Bytes& req) {
-    core::ScopedLatencyTimer t(latency_, proto::kClose);
-    return handle_close(req);
-  }, rpc::DispatchHint::kInline);
-  rpc_.register_handler(proto::kStat, [this](const Bytes& req) {
-    core::ScopedLatencyTimer t(latency_, proto::kStat);
-    return handle_stat(req);
-  });
-  rpc_.register_handler(proto::kPrefetch, [this](const Bytes& req) {
-    core::ScopedLatencyTimer t(latency_, proto::kPrefetch);
-    return handle_prefetch(req);
-  });
-  rpc_.register_handler(proto::kMetrics, [this](const Bytes& req) {
-    core::ScopedLatencyTimer t(latency_, proto::kMetrics);
-    return handle_metrics(req);
-  });
-  rpc_.register_handler(proto::kTimeSeries, [this](const Bytes& req) {
-    core::ScopedLatencyTimer t(latency_, proto::kTimeSeries);
-    return handle_time_series(req);
-  });
-  rpc_.register_payload_handler(proto::kReadSegment,
-                                [this](const Bytes& req) {
-    core::ScopedLatencyTimer t(latency_, proto::kReadSegment);
-    return handle_read_segment(req);
-  });
-  rpc_.register_payload_handler(proto::kReadScatter,
-                                [this](const Bytes& req) {
-    core::ScopedLatencyTimer t(latency_, proto::kReadScatter);
-    return handle_read_scatter(req);
-  });
-  rpc_.register_handler(proto::kPrefetchBatch, [this](const Bytes& req) {
-    core::ScopedLatencyTimer t(latency_, proto::kPrefetchBatch);
-    return handle_prefetch_batch(req);
-  });
+  }, kInline);
+  rpc_.register_handler(proto::kOpen,
+                        timed(proto::kOpen, &HvacServer::handle_open),
+                        kInline);
+  rpc_.register_payload_handler(
+      proto::kRead, timed(proto::kRead, &HvacServer::handle_read), kInline);
+  rpc_.register_handler(
+      proto::kClose, timed(proto::kClose, &HvacServer::handle_close),
+      kInline);
+  rpc_.register_handler(proto::kStat,
+                        timed(proto::kStat, &HvacServer::handle_stat));
+  rpc_.register_handler(
+      proto::kPrefetch, timed(proto::kPrefetch, &HvacServer::handle_prefetch));
+  rpc_.register_handler(
+      proto::kMetrics, timed(proto::kMetrics, &HvacServer::handle_metrics));
+  rpc_.register_handler(
+      proto::kTimeSeries,
+      timed(proto::kTimeSeries, &HvacServer::handle_time_series));
+  rpc_.register_payload_handler(
+      proto::kReadSegment,
+      timed(proto::kReadSegment, &HvacServer::handle_read_segment));
+  rpc_.register_payload_handler(
+      proto::kReadScatter,
+      timed(proto::kReadScatter, &HvacServer::handle_read_scatter), kInline);
+  rpc_.register_handler(
+      proto::kPrefetchBatch,
+      timed(proto::kPrefetchBatch, &HvacServer::handle_prefetch_batch));
   rpc_.register_handler(proto::kTraceDump,
                         [this](const Bytes&) -> Result<Bytes> {
     core::ScopedLatencyTimer t(latency_, proto::kTraceDump);
@@ -336,29 +339,21 @@ void HvacServer::register_handlers() {
     // this process emitted (client-side included when co-located).
     return core::encode_spans(trace::drain());
   });
-  // Served from memory (the index was loaded at start): inline.
-  rpc_.register_handler(proto::kPackedIndex, [this](const Bytes& req) {
-    core::ScopedLatencyTimer t(latency_, proto::kPackedIndex);
-    return handle_packed_index(req);
-  }, rpc::DispatchHint::kInline);
+  rpc_.register_handler(
+      proto::kPackedIndex,
+      timed(proto::kPackedIndex, &HvacServer::handle_packed_index), kInline);
   // Write path: every op can touch the journal's fdatasync or wait on
   // the flusher, so all four stay pooled.
-  rpc_.register_handler(proto::kWriteOpen, [this](const Bytes& req) {
-    core::ScopedLatencyTimer t(latency_, proto::kWriteOpen);
-    return handle_write_open(req);
-  });
-  rpc_.register_handler(proto::kWrite, [this](const Bytes& req) {
-    core::ScopedLatencyTimer t(latency_, proto::kWrite);
-    return handle_write(req);
-  });
-  rpc_.register_handler(proto::kFsync, [this](const Bytes& req) {
-    core::ScopedLatencyTimer t(latency_, proto::kFsync);
-    return handle_fsync(req);
-  });
-  rpc_.register_handler(proto::kWriteClose, [this](const Bytes& req) {
-    core::ScopedLatencyTimer t(latency_, proto::kWriteClose);
-    return handle_write_close(req);
-  });
+  rpc_.register_handler(
+      proto::kWriteOpen,
+      timed(proto::kWriteOpen, &HvacServer::handle_write_open));
+  rpc_.register_handler(proto::kWrite,
+                        timed(proto::kWrite, &HvacServer::handle_write));
+  rpc_.register_handler(proto::kFsync,
+                        timed(proto::kFsync, &HvacServer::handle_fsync));
+  rpc_.register_handler(
+      proto::kWriteClose,
+      timed(proto::kWriteClose, &HvacServer::handle_write_close));
 }
 
 HvacServer::PackedRoute HvacServer::route_packed(std::string& path) const {
@@ -414,15 +409,23 @@ Result<Bytes> HvacServer::handle_open(const Bytes& req) {
   // stamped on it; the reported size is the sample's, not the blob's.
   const PackedRoute route = route_packed(path);
 
-  // Forward to the data-mover FIFO (paper §III-D steps 4-6) and wait
-  // for the cache decision. Retry if the fresh copy is evicted before
-  // we open it (possible under heavy capacity pressure); fall back to
-  // the PFS otherwise.
+  // On a reactor thread a resident file is opened right here; a miss
+  // (or an eviction racing the open) defers to the pool. There — and
+  // only there — the open goes to the data-mover FIFO (paper §III-D
+  // steps 4-6) and waits for the cache decision, retrying if the fresh
+  // copy is evicted before we open it (possible under heavy capacity
+  // pressure) and falling back to the PFS otherwise.
+  const bool on_reactor = rpc::RpcServer::on_reactor_thread();
   auto open_file = std::make_shared<OpenFile>();
   open_file->logical_path = path;
   open_file->pfs_fallback = true;
   for (int attempt = 0; attempt < 3; ++attempt) {
-    HVAC_ASSIGN_OR_RETURN(bool cached, mover_->fetch(path));
+    bool cached = true;
+    if (on_reactor) {
+      if (!cache_->try_hit(path)) return defer_to_pool();
+    } else {
+      HVAC_ASSIGN_OR_RETURN(cached, mover_->fetch(path));
+    }
     if (!cached) break;  // capacity overflow: serve from the PFS
     auto f = cache_->open_cached(path);
     if (f.ok()) {
@@ -431,6 +434,7 @@ Result<Bytes> HvacServer::handle_open(const Bytes& req) {
       break;
     }
     if (f.error().code != ErrorCode::kNotFound) return f.error();
+    if (on_reactor) return defer_to_pool();
   }
   uint64_t size = 0;
   if (open_file->pfs_fallback) {
@@ -477,6 +481,10 @@ Result<rpc::Payload> HvacServer::handle_read(const Bytes& req) {
                    "unknown remote fd " + std::to_string(remote_fd));
     }
     open_file = it->second;
+  }
+  // A PFS-fallback fd reads through the PFS: never on a reactor.
+  if (open_file->pfs_fallback && rpc::RpcServer::on_reactor_thread()) {
+    return defer_to_pool();
   }
 
   // Zero-copy hit path: hand the RPC server a FileExtent — it
@@ -559,6 +567,12 @@ Result<rpc::Payload> HvacServer::handle_read_scatter(const Bytes& req) {
   if (total > proto::kMaxScatterBytes) {
     return Error(ErrorCode::kInvalidArgument, "scatter request too large");
   }
+  // On a reactor thread only a cached source is served; every read
+  // that would go to the mover or the PFS defers to the pool.
+  const bool on_reactor = rpc::RpcServer::on_reactor_thread();
+  if (on_reactor && open_file != nullptr && open_file->pfs_fallback) {
+    return defer_to_pool();
+  }
 
   // Resolve a cached fd for the extents when one exists. In path mode
   // the file may have been evicted since the client's metadata said
@@ -567,10 +581,11 @@ Result<rpc::Payload> HvacServer::handle_read_scatter(const Bytes& req) {
   //
   // Packed samples arrive in path mode (the client resolved the sample
   // from the fetched index and skipped kOpen entirely): rewrite to the
-  // container's logical path, warm the container once through the
-  // mover, and translate every extent by the sample's base offset while
-  // clamping to the sample length. The reply table always echoes the
-  // *requested* sample-relative offsets.
+  // container's logical path, make sure the container is resident (the
+  // hit probe inline, one mover fetch pooled), and translate every
+  // extent by the sample's base offset while clamping to the sample
+  // length. The reply table always echoes the *requested*
+  // sample-relative offsets.
   std::shared_ptr<const void> owner;
   int src_fd = -1;
   uint64_t src_size = 0;
@@ -596,9 +611,13 @@ Result<rpc::Payload> HvacServer::handle_read_scatter(const Bytes& req) {
       base = route.base;
       limit = route.length;
       has_limit = true;
-      // One blocking fetch caches the whole container; this handler
-      // runs pooled, so the mover wait cannot stall a reactor.
-      (void)mover_->fetch(path);
+      if (on_reactor) {
+        if (!cache_->try_hit(path)) return defer_to_pool();
+      } else {
+        // One blocking fetch caches the whole container (pooled, so
+        // the mover wait cannot stall a reactor).
+        (void)mover_->fetch(path);
+      }
     }
     if (cache_->is_cached(path)) {
       auto pinned = cache_->store().open_pinned(path);
@@ -615,6 +634,8 @@ Result<rpc::Payload> HvacServer::handle_read_scatter(const Bytes& req) {
         }
       }
     }
+    // Uncached unpacked file, or evicted since the probe.
+    if (!cached_fd && on_reactor) return defer_to_pool();
   }
 
   if (cached_fd && rpc_.zerocopy_mode() != rpc::ZeroCopyMode::kOff) {

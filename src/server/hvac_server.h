@@ -1,7 +1,8 @@
 // HvacServer — one HVAC server instance (paper §III-C).
 //
 // Ties the pieces together: an RpcServer accepts forwarded file
-// operations; open requests are enqueued on the DataMover's FIFO
+// operations; cache hits are served to completion on the reactor
+// thread, and opens that miss are enqueued on the DataMover's FIFO
 // queue; the CacheManager maintains the node-local store with the
 // single-copy guarantee; reads are served from NVMe (or from the PFS
 // when the file overflowed capacity). Several instances can run per

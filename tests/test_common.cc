@@ -14,7 +14,6 @@
 #include "common/result.h"
 #include "common/rng.h"
 #include "common/stats.h"
-#include "common/thread_pool.h"
 
 namespace hvac {
 namespace {
@@ -253,25 +252,6 @@ TEST(MpmcQueue, ManyProducersManyConsumers) {
   const long n = kProducers * kPerProducer;
   EXPECT_EQ(count.load(), n);
   EXPECT_EQ(sum.load(), n * (n - 1) / 2);
-}
-
-// ---- thread pool -------------------------------------------------------------
-
-TEST(ThreadPool, RunsAllTasks) {
-  std::atomic<int> done{0};
-  {
-    ThreadPool pool(3);
-    for (int i = 0; i < 100; ++i) {
-      ASSERT_TRUE(pool.submit([&done] { ++done; }).ok());
-    }
-  }  // destructor joins
-  EXPECT_EQ(done.load(), 100);
-}
-
-TEST(ThreadPool, SubmitAfterShutdownFails) {
-  ThreadPool pool(1);
-  pool.shutdown();
-  EXPECT_FALSE(pool.submit([] {}).ok());
 }
 
 // ---- stats ----------------------------------------------------------------

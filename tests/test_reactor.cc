@@ -139,6 +139,46 @@ TEST(ReactorChaos, WorkStealingPoolBoundsQueueWithCapacityError) {
   pool.shutdown();
 }
 
+TEST(ReactorWake, NoStealSyncRoundTripIsBounded) {
+  // With stealing off only a home worker may run a task, so submit()
+  // must wake one of those — not any sleeper, which would leave the
+  // task until the home worker's sleep timed out (tens of ms).
+  ::setenv("HVAC_STEAL", "0", 1);
+  RpcServerOptions so;
+  so.bind_address = "127.0.0.1:0";
+  so.handler_threads = 4;
+  so.reactors = 4;
+  RpcServer server(so);
+  server.register_handler(1, [](const Bytes& req) {
+    return Result<Bytes>(req);
+  });
+  const Status started = server.start();
+  ::unsetenv("HVAC_STEAL");
+  ASSERT_TRUE(started.ok());
+
+  std::vector<std::unique_ptr<RpcClient>> clients;
+  for (int i = 0; i < 4; ++i) {
+    clients.push_back(std::make_unique<RpcClient>(server.endpoint()));
+  }
+  // Round-robin over connections spread across reactors. A lost wake
+  // costs up to the 50 ms sleep timeout (measured: a 14-35 ms mean);
+  // a delivered one, tens of microseconds.
+  constexpr int kCalls = 64;
+  const auto t0 = std::chrono::steady_clock::now();
+  for (int i = 0; i < kCalls; ++i) {
+    const Bytes req{uint8_t(i)};
+    const auto resp = clients[i % 4]->call(1, req);
+    ASSERT_TRUE(resp.ok()) << resp.error().to_string();
+    EXPECT_EQ(*resp, req);
+  }
+  const double mean_ms = std::chrono::duration<double, std::milli>(
+                             std::chrono::steady_clock::now() - t0)
+                             .count() /
+                         kCalls;
+  EXPECT_LT(mean_ms, 2.0) << "mean sync round trip (ms)";
+  server.stop();
+}
+
 // ---- connection distribution ----------------------------------------------
 
 TEST(ReactorChaos, TcpRequestsConservedAcrossReactors) {
