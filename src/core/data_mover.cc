@@ -73,9 +73,6 @@ std::shared_future<Result<bool>> DataMover::submit(std::string logical_path) {
 }
 
 Result<bool> DataMover::fetch(const std::string& logical_path) {
-  // A resident file needs no copy: answer here instead of a round trip
-  // through the FIFO and a mover thread.
-  if (cache_->try_hit(logical_path)) return true;
   return submit(logical_path).get();
 }
 

@@ -51,8 +51,7 @@ class DataMover {
   // future, no second queue slot).
   std::shared_future<Result<bool>> submit(std::string logical_path);
 
-  // Submit and wait — except for a resident file, which is answered
-  // by CacheManager::try_hit without touching the queue.
+  // Convenience: submit and wait.
   Result<bool> fetch(const std::string& logical_path);
 
   // Stops accepting work, drains the queue and joins. Idempotent.

@@ -297,18 +297,16 @@ void HvacServer::register_handlers() {
   };
   // Hit-path ops run inline on the owning reactor thread, skipping the
   // pool queue/wake entirely: ping, close, the in-memory packed index,
-  // and open/read/scatter — which serve a resident file to completion
-  // there and defer to the pool on a miss (kWouldBlock), so a slow
-  // fetch never stalls a reactor's other connections. Everything else
-  // is mover-, PFS- or journal-bound and stays pooled.
+  // and read/scatter — which serve a resident file to completion there
+  // and defer to the pool on a miss (kWouldBlock), so a slow fetch
+  // never stalls a reactor's other connections. Everything else is
+  // mover-, PFS- or journal-bound and stays pooled; kOpen too, which
+  // still takes its place on the mover FIFO (see handle_open).
   constexpr auto kInline = rpc::DispatchHint::kInline;
-  rpc_.register_handler(proto::kPing, [this](const Bytes&) -> Result<Bytes> {
-    core::ScopedLatencyTimer t(latency_, proto::kPing);
-    return Bytes{};
-  }, kInline);
+  rpc_.register_handler(
+      proto::kPing, timed(proto::kPing, &HvacServer::handle_ping), kInline);
   rpc_.register_handler(proto::kOpen,
-                        timed(proto::kOpen, &HvacServer::handle_open),
-                        kInline);
+                        timed(proto::kOpen, &HvacServer::handle_open));
   rpc_.register_payload_handler(
       proto::kRead, timed(proto::kRead, &HvacServer::handle_read), kInline);
   rpc_.register_handler(
@@ -332,13 +330,9 @@ void HvacServer::register_handlers() {
   rpc_.register_handler(
       proto::kPrefetchBatch,
       timed(proto::kPrefetchBatch, &HvacServer::handle_prefetch_batch));
-  rpc_.register_handler(proto::kTraceDump,
-                        [this](const Bytes&) -> Result<Bytes> {
-    core::ScopedLatencyTimer t(latency_, proto::kTraceDump);
-    // Rings are process-wide: any instance's dump carries every span
-    // this process emitted (client-side included when co-located).
-    return core::encode_spans(trace::drain());
-  });
+  rpc_.register_handler(
+      proto::kTraceDump,
+      timed(proto::kTraceDump, &HvacServer::handle_trace_dump));
   rpc_.register_handler(
       proto::kPackedIndex,
       timed(proto::kPackedIndex, &HvacServer::handle_packed_index), kInline);
@@ -401,6 +395,14 @@ Result<rpc::Payload> HvacServer::handle_read_segment(const Bytes& req) {
   return rpc::blob_payload(std::move(lease), n);
 }
 
+Result<Bytes> HvacServer::handle_ping(const Bytes&) { return Bytes{}; }
+
+Result<Bytes> HvacServer::handle_trace_dump(const Bytes&) {
+  // Rings are process-wide: any instance's dump carries every span
+  // this process emitted (client-side included when co-located).
+  return core::encode_spans(trace::drain());
+}
+
 Result<Bytes> HvacServer::handle_open(const Bytes& req) {
   WireReader r(req);
   HVAC_ASSIGN_OR_RETURN(std::string path, r.get_string());
@@ -409,23 +411,18 @@ Result<Bytes> HvacServer::handle_open(const Bytes& req) {
   // stamped on it; the reported size is the sample's, not the blob's.
   const PackedRoute route = route_packed(path);
 
-  // On a reactor thread a resident file is opened right here; a miss
-  // (or an eviction racing the open) defers to the pool. There — and
-  // only there — the open goes to the data-mover FIFO (paper §III-D
-  // steps 4-6) and waits for the cache decision, retrying if the fresh
-  // copy is evicted before we open it (possible under heavy capacity
-  // pressure) and falling back to the PFS otherwise.
-  const bool on_reactor = rpc::RpcServer::on_reactor_thread();
+  // Forward to the data-mover FIFO (paper §III-D steps 4-6) and wait
+  // for the cache decision, a resident file included: an open never
+  // overtakes prefetch work queued ahead of it, and the clairvoyant
+  // scheduler counts an access warm only once its batch is answered
+  // (ROADMAP has why kOpen is not served inline yet). Retry if the
+  // fresh copy is evicted before we open it (possible under heavy
+  // capacity pressure); fall back to the PFS otherwise.
   auto open_file = std::make_shared<OpenFile>();
   open_file->logical_path = path;
   open_file->pfs_fallback = true;
   for (int attempt = 0; attempt < 3; ++attempt) {
-    bool cached = true;
-    if (on_reactor) {
-      if (!cache_->try_hit(path)) return defer_to_pool();
-    } else {
-      HVAC_ASSIGN_OR_RETURN(cached, mover_->fetch(path));
-    }
+    HVAC_ASSIGN_OR_RETURN(bool cached, mover_->fetch(path));
     if (!cached) break;  // capacity overflow: serve from the PFS
     auto f = cache_->open_cached(path);
     if (f.ok()) {
@@ -434,7 +431,6 @@ Result<Bytes> HvacServer::handle_open(const Bytes& req) {
       break;
     }
     if (f.error().code != ErrorCode::kNotFound) return f.error();
-    if (on_reactor) return defer_to_pool();
   }
   uint64_t size = 0;
   if (open_file->pfs_fallback) {

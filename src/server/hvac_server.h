@@ -158,6 +158,8 @@ class HvacServer {
   Result<rpc::Bytes> handle_metrics(const rpc::Bytes& req);
   Result<rpc::Bytes> handle_time_series(const rpc::Bytes& req);
   Result<rpc::Bytes> handle_packed_index(const rpc::Bytes& req);
+  Result<rpc::Bytes> handle_ping(const rpc::Bytes& req);
+  Result<rpc::Bytes> handle_trace_dump(const rpc::Bytes& req);
 
   // Time-series collector thread body: one metrics_frame() snapshot
   // per interval, delta'd against the previous and pushed to the ring.
