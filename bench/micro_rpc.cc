@@ -557,11 +557,10 @@ struct SmallFileFixture {
     if (!server->start().ok()) std::abort();
     // Pre-warm so the measured loop is the steady-state hit path.
     RpcClient warm(Endpoint{server->address()});
-    for (const auto& p : paths) {
-      WireWriter w;
-      w.put_string(p);
-      if (!warm.call(hvac::proto::kPrefetch, w).ok()) std::abort();
-    }
+    WireWriter w;
+    w.put_u32(static_cast<uint32_t>(paths.size()));
+    for (const auto& p : paths) w.put_string(p);
+    if (!warm.call(hvac::proto::kPrefetchBatch, w).ok()) std::abort();
   }
 };
 

@@ -241,14 +241,16 @@ rpc::AsyncRpcClient& HvacClient::async_channel(uint32_t server_index) {
 // telemetry: bytes fetched ahead that the application never took).
 void HvacClient::discard_window(ReadAheadState& state) {
   if (state.pending.empty()) return;
-  core::ReadAheadCounters::global().wasted.fetch_add(
-      state.pending.size(), std::memory_order_relaxed);
-  {
-    std::lock_guard<std::mutex> lock(stats_mutex_);
-    stats_.readahead_wasted += state.pending.size();
-  }
+  count_wasted(state.pending.size());
   state.pending.clear();
   state.issued_end = 0;
+}
+
+void HvacClient::count_wasted(size_t chunks) {
+  core::ReadAheadCounters::global().wasted.fetch_add(
+      chunks, std::memory_order_relaxed);
+  std::lock_guard<std::mutex> lock(stats_mutex_);
+  stats_.readahead_wasted += chunks;
 }
 
 std::optional<HvacClient::PendingChunk> HvacClient::readahead_take(
@@ -280,7 +282,12 @@ std::optional<HvacClient::PendingChunk> HvacClient::readahead_take(
 void HvacClient::readahead_advance(int vfd, const core::FdEntry& entry,
                                    uint64_t offset, size_t got,
                                    uint32_t chunk) {
-  if (options_.readahead_chunks == 0 || chunk == 0) return;
+  // Segmented fds read synchronously: the sync path splits a read at
+  // every segment boundary, so chunks predicted from the application's
+  // read size would miss wherever read and segment boundaries differ.
+  if (options_.readahead_chunks == 0 || chunk == 0 || entry.segmented) {
+    return;
+  }
   std::lock_guard<std::mutex> lock(ra_mutex_);
   const auto [slot, inserted] = ra_.try_emplace(vfd);
   ReadAheadState& state = slot->second;
@@ -324,22 +331,10 @@ void HvacClient::readahead_advance(int vfd, const core::FdEntry& entry,
     cursor += next_count;
   }
   if (batch.empty()) return;
-  WireWriter w;
-  if (entry.path_mode) {
-    w.put_u8(1);  // by path
-    w.put_string(entry.logical_path);
-  } else {
-    w.put_u8(0);  // by remote fd
-    w.put_u64(entry.remote_fd);
-  }
-  w.put_u32(static_cast<uint32_t>(batch.size()));
-  for (const auto& [off, len] : batch) {
-    w.put_u64(off);
-    w.put_u32(len);
-  }
+  const ReadRequest req = read_request(entry, batch);
   const std::shared_future<Result<Bytes>> shared =
-      async_channel(entry.server_index)
-          .call_async(proto::kReadScatter, w.bytes())
+      async_channel(req.server)
+          .call_async(proto::kReadScatter, req.body)
           .share();
   for (uint32_t i = 0; i < batch.size(); ++i) {
     PendingChunk next;
@@ -557,60 +552,6 @@ Result<int> HvacClient::open(const std::string& path) {
   return last_error;
 }
 
-Result<size_t> HvacClient::pread_segmented(const core::FdEntry& entry,
-                                           void* buf, size_t count,
-                                           uint64_t offset) {
-  if (offset >= entry.size) return size_t{0};
-  count = static_cast<size_t>(
-      std::min<uint64_t>(count, entry.size - offset));
-  auto* out = static_cast<uint8_t*>(buf);
-  size_t total = 0;
-  Error failure(ErrorCode::kInternal, "");
-  bool failed = false;
-  core::for_each_segment(
-      offset, count, options_.segment_bytes,
-      [&](const core::SegmentRange& range) {
-        if (failed) return;
-        // Chunk within the segment to respect the RPC frame cap.
-        uint64_t done = 0;
-        while (done < range.length && !failed) {
-          const uint32_t chunk = static_cast<uint32_t>(std::min<uint64_t>(
-              range.length - done, options_.read_chunk_bytes));
-          WireWriter w;
-          w.put_string(entry.logical_path);
-          w.put_u64(range.index);
-          w.put_u64(options_.segment_bytes);
-          w.put_u64(range.skip + done);
-          w.put_u32(chunk);
-          const uint32_t server = placement_.home(
-              core::segment_key(entry.logical_path, range.index));
-          Result<Bytes> resp =
-              channel(server).call(proto::kReadSegment, w);
-          if (!resp.ok()) {
-            failure = resp.error();
-            failed = true;
-            return;
-          }
-          WireReader r(*resp);
-          auto data = r.get_blob();
-          if (!data.ok()) {
-            failure = data.error();
-            failed = true;
-            return;
-          }
-          std::copy(data->begin(), data->end(), out + total);
-          total += data->size();
-          done += data->size();
-          if (data->size() < chunk) return;  // EOF in final segment
-        }
-      });
-  if (failed) return failure;
-  std::lock_guard<std::mutex> lock(stats_mutex_);
-  ++stats_.reads;
-  stats_.bytes_read += total;
-  return total;
-}
-
 Status HvacClient::recover_fd(int vfd, const core::FdEntry& stale,
                               bool force_pfs) {
   HVAC_LOG_INFO("recovering fd " << vfd << " for " << stale.logical_path
@@ -644,16 +585,65 @@ Result<size_t> HvacClient::pread(int vfd, void* buf, size_t count,
   return pread_attempt(vfd, buf, count, offset, /*recoveries=*/0);
 }
 
+HvacClient::ReadRequest HvacClient::read_request(
+    const core::FdEntry& entry,
+    const std::vector<std::pair<uint64_t, uint32_t>>& extents) const {
+  ReadRequest req;
+  req.server = entry.server_index;
+  uint64_t base = 0;  // subtracted from every extent offset
+  WireWriter w;
+  if (entry.segmented) {
+    const uint64_t seg = extents.front().first / options_.segment_bytes;
+    base = seg * options_.segment_bytes;
+    req.server = placement_.home(core::segment_key(entry.logical_path, seg));
+    w.put_u8(proto::kSourceSegment);
+    w.put_string(entry.logical_path);
+    w.put_u64(seg);
+    w.put_u64(options_.segment_bytes);
+  } else if (entry.path_mode) {
+    w.put_u8(proto::kSourcePath);
+    w.put_string(entry.logical_path);
+  } else {
+    w.put_u8(proto::kSourceFd);
+    w.put_u64(entry.remote_fd);
+  }
+  w.put_u32(static_cast<uint32_t>(extents.size()));
+  for (const auto& [off, len] : extents) {
+    w.put_u64(off - base);
+    w.put_u32(len);
+  }
+  req.body = std::move(w).take();
+  return req;
+}
+
+Result<size_t> HvacClient::take_extent(const core::FdEntry& entry,
+                                       const uint8_t* reply,
+                                       size_t reply_size, uint32_t index,
+                                       uint64_t offset, uint32_t count,
+                                       uint8_t* out) const {
+  HVAC_ASSIGN_OR_RETURN(rpc::ScatterView view,
+                        rpc::decode_scatter(reply, reply_size));
+  const uint64_t wire_offset =
+      entry.segmented ? offset % options_.segment_bytes : offset;
+  if (index >= view.extents.size() ||
+      view.extents[index].offset != wire_offset ||
+      view.extents[index].length > count) {
+    return Error(ErrorCode::kProtocol, "bad scatter response shape");
+  }
+  const rpc::ScatterView::Extent& ext = view.extents[index];
+  if (ext.length < count && offset + ext.length < entry.size) {
+    return Error(ErrorCode::kUnavailable,
+                 "short read mid-file for " + entry.logical_path);
+  }
+  std::memcpy(out, ext.data, ext.length);
+  return size_t{ext.length};
+}
+
 Result<size_t> HvacClient::pread_attempt(int vfd, void* buf, size_t count,
                                          uint64_t offset, int recoveries) {
   HVAC_RETURN_IF_ERROR(fault::check(fault::Site::kRead));
   HVAC_ASSIGN_OR_RETURN(core::FdEntry entry, fds_.get(vfd));
 
-  if (entry.segmented) {
-    Result<size_t> n = pread_segmented(entry, buf, count, offset);
-    stall_charge(core::StallBucket::kRemoteRpc);
-    return n;
-  }
   if (entry.fallback_pfs) {
     const ssize_t n = ::pread(entry.pfs_fd, buf, count,
                               static_cast<off_t>(offset));
@@ -678,45 +668,56 @@ Result<size_t> HvacClient::pread_attempt(int vfd, void* buf, size_t count,
   auto* out = static_cast<uint8_t*>(buf);
   size_t total = 0;
   while (total < count) {
-    const uint32_t chunk = static_cast<uint32_t>(
-        std::min<size_t>(count - total, options_.read_chunk_bytes));
     const uint64_t chunk_offset = offset + total;
+    // A segmented fd's chunk stops at its segment's end: one request
+    // addresses one segment, at that segment's home.
+    const uint64_t span =
+        entry.segmented
+            ? options_.segment_bytes - chunk_offset % options_.segment_bytes
+            : UINT64_MAX;
+    const uint32_t chunk = static_cast<uint32_t>(std::min<uint64_t>(
+        {count - total, options_.read_chunk_bytes, span}));
 
     // Read-ahead hit: the chunk is already in flight (or landed); take
     // its bytes instead of a fresh round trip. The whole issue batch
     // came back as one scatter frame — this chunk is one extent of it.
-    // A transport/parse failure falls through to the synchronous path
-    // below.
+    // A batch that landed before the application asked is a genuine
+    // local hit; waiting on one still in flight is read-ahead
+    // backpressure, bounded by the call deadline: a stalled window is
+    // dropped. Any failure falls through to the synchronous path.
     if (options_.readahead_chunks > 0) {
       if (auto pending =
               readahead_take(vfd, chunk_offset, chunk, entry.size)) {
         const bool was_ready =
             pending->data.wait_for(std::chrono::seconds(0)) ==
             std::future_status::ready;
-        const Result<Bytes>& ready = pending->data.get();
-        // A batch that landed before the application asked is a
-        // genuine local hit; blocking on one still in flight is
-        // read-ahead backpressure.
+        const int budget_ms = options_.rpc.call_timeout_ms;
+        const bool landed =
+            was_ready || budget_ms <= 0 ||
+            pending->data.wait_for(std::chrono::milliseconds(budget_ms)) ==
+                std::future_status::ready;
         stall_charge(was_ready ? core::StallBucket::kLocalHit
                                : core::StallBucket::kBackpressure);
-        if (ready.ok()) {
-          auto view = rpc::decode_scatter(ready->data(), ready->size());
-          if (view.ok() && pending->extent_index < view->extents.size()) {
-            const auto& ext = view->extents[pending->extent_index];
-            if (ext.offset == chunk_offset && ext.length <= chunk) {
-              std::memcpy(out + total, ext.data, ext.length);
-              total += ext.length;
-              core::ReadAheadCounters::global().consumed.fetch_add(
-                  1, std::memory_order_relaxed);
-              {
-                std::lock_guard<std::mutex> lock(stats_mutex_);
-                ++stats_.readahead_hits;
-              }
-              readahead_advance(vfd, entry, chunk_offset, ext.length,
-                                chunk);
-              if (ext.length < chunk) break;  // EOF
-              continue;
+        if (!landed) {
+          readahead_drop(vfd);
+          count_wasted(1);  // the chunk taken from the window
+        } else if (const Result<Bytes>& ready = pending->data.get();
+                   ready.ok()) {
+          Result<size_t> got =
+              take_extent(entry, ready->data(), ready->size(),
+                          pending->extent_index, chunk_offset, chunk,
+                          out + total);
+          if (got.ok()) {
+            total += *got;
+            core::ReadAheadCounters::global().consumed.fetch_add(
+                1, std::memory_order_relaxed);
+            {
+              std::lock_guard<std::mutex> lock(stats_mutex_);
+              ++stats_.readahead_hits;
             }
+            readahead_advance(vfd, entry, chunk_offset, *got, chunk);
+            if (*got < chunk) break;  // EOF
+            continue;
           }
         }
       }
@@ -724,44 +725,32 @@ Result<size_t> HvacClient::pread_attempt(int vfd, void* buf, size_t count,
 
     // Positional reads are idempotent: transient transport errors get
     // a bounded retry with backoff before the recover_fd machinery
-    // (replica fail-over / PFS) takes over. Path-mode fds (opened from
-    // the meta cache, no remote fd) read by logical path via a
-    // single-extent scatter request.
-    WireWriter w;
-    uint16_t opcode = proto::kRead;
-    if (entry.path_mode) {
-      opcode = proto::kReadScatter;
-      w.put_u8(1);  // by path
-      w.put_string(entry.logical_path);
-      w.put_u32(1);
-      w.put_u64(chunk_offset);
-      w.put_u32(chunk);
-    } else {
-      w.put_u64(entry.remote_fd);
-      w.put_u64(chunk_offset);
-      w.put_u32(chunk);
-    }
-    Result<rpc::Payload> resp = channel(entry.server_index)
-                                    .call_payload_idempotent(opcode,
-                                                             w.bytes());
-    if (!resp.ok()) {
-      // The failed attempt's wall time (and the recovery below) is
-      // retry/fail-over penalty, whatever the eventual serving path.
-      stall_charge(core::StallBucket::kRetry);
-      const ErrorCode code = resp.error().code;
+    // (replica fail-over / PFS) takes over.
+    const ReadRequest req = read_request(entry, {{chunk_offset, chunk}});
+    Result<rpc::Payload> resp =
+        channel(req.server).call_payload_idempotent(proto::kReadScatter,
+                                                    req.body);
+    // A failed attempt's wall time (and the recovery below) is
+    // retry/fail-over penalty, whatever the eventual serving path.
+    stall_charge(resp.ok() ? core::StallBucket::kRemoteRpc
+                           : core::StallBucket::kRetry);
+    // Single copy: response buffer (pooled) -> caller's buffer.
+    Result<size_t> got =
+        resp.ok() ? take_extent(entry, resp->data(), resp->size(), 0,
+                                chunk_offset, chunk, out + total)
+                  : Result<size_t>(resp.error());
+    if (!got.ok()) {
+      const ErrorCode code = got.error().code;
       if (code != ErrorCode::kUnavailable && code != ErrorCode::kTimeout &&
           code != ErrorCode::kBadFd) {
-        return resp.error();
+        return got.error();
       }
       meta_.invalidate(entry.logical_path);
-      // The home server died (or restarted and lost the fd) while we
-      // held it open: re-open via replicas/PFS and finish the read
-      // there (fail-open extends to in-flight fds, §III-H). Recovery
-      // is bounded: a server that accepts opens but fails every read
-      // (e.g. a hostile frame bound) must not trap the client in an
-      // open/fail loop, so the last attempt goes straight to the PFS.
-      constexpr int kMaxRecoveries = 3;
-      if (recoveries >= kMaxRecoveries) return resp.error();
+      // The serving server died (or restarted and lost the fd, or cut
+      // the copy) while we held the file open: re-open via replicas/PFS
+      // and finish the read there (fail-open extends to in-flight fds,
+      // §III-H).
+      if (recoveries >= kMaxRecoveries) return got.error();
       const bool force_pfs = recoveries + 1 == kMaxRecoveries;
       HVAC_RETURN_IF_ERROR(recover_fd(vfd, entry, force_pfs));
       stall_charge(core::StallBucket::kRetry);
@@ -770,50 +759,9 @@ Result<size_t> HvacClient::pread_attempt(int vfd, void* buf, size_t count,
                                           chunk_offset, recoveries + 1));
       return total + rest;
     }
-    stall_charge(core::StallBucket::kRemoteRpc);
-    // Single copy: response buffer (pooled) -> caller's buffer.
-    size_t got = 0;
-    if (entry.path_mode) {
-      HVAC_ASSIGN_OR_RETURN(
-          rpc::ScatterView sv,
-          rpc::decode_scatter(resp->data(), resp->size()));
-      if (sv.extents.size() != 1 || sv.extents[0].length > chunk) {
-        return Error(ErrorCode::kProtocol, "bad scatter response shape");
-      }
-      // A scatter extent may only come back short at EOF (the fd's
-      // size came from the open-time stat or the packed index, both
-      // authoritative for immutable files). Short mid-file means the
-      // serving copy was cut — an eviction race or an injected fault —
-      // so recover like a transport failure instead of handing the
-      // application a truncated sample.
-      if (sv.extents[0].length < chunk &&
-          chunk_offset + sv.extents[0].length < entry.size) {
-        meta_.invalidate(entry.logical_path);
-        constexpr int kMaxRecoveries = 3;
-        if (recoveries >= kMaxRecoveries) {
-          return Error(ErrorCode::kUnavailable,
-                       "short scatter read mid-file for " +
-                           entry.logical_path);
-        }
-        const bool force_pfs = recoveries + 1 == kMaxRecoveries;
-        HVAC_RETURN_IF_ERROR(recover_fd(vfd, entry, force_pfs));
-        stall_charge(core::StallBucket::kRetry);
-        HVAC_ASSIGN_OR_RETURN(
-            size_t rest, pread_attempt(vfd, out + total, count - total,
-                                       chunk_offset, recoveries + 1));
-        return total + rest;
-      }
-      std::memcpy(out + total, sv.extents[0].data, sv.extents[0].length);
-      got = sv.extents[0].length;
-    } else {
-      WireReader r(resp->data(), resp->size());
-      HVAC_ASSIGN_OR_RETURN(WireReader::BlobView data, r.get_blob_view());
-      std::memcpy(out + total, data.data, data.size);
-      got = data.size;
-    }
-    total += got;
-    readahead_advance(vfd, entry, chunk_offset, got, chunk);
-    if (got < chunk) break;  // EOF
+    total += *got;
+    readahead_advance(vfd, entry, chunk_offset, *got, chunk);
+    if (*got < chunk) break;  // EOF
   }
   std::lock_guard<std::mutex> lock(stats_mutex_);
   ++stats_.reads;
@@ -1076,11 +1024,11 @@ Result<uint64_t> HvacClient::stat_size(const std::string& path) {
 
 Status HvacClient::prefetch(const std::string& path) {
   HVAC_ASSIGN_OR_RETURN(std::string logical, logical_path(path));
-  WireWriter w;
-  w.put_string(logical);
-  HVAC_ASSIGN_OR_RETURN(
-      Bytes resp, channel(placement_.home(logical)).call(proto::kPrefetch, w));
-  (void)resp;
+  HVAC_ASSIGN_OR_RETURN(std::vector<uint8_t> status,
+                        prefetch_batch_status({logical}));
+  if (status[0] == proto::kPrefetchShed) {
+    return Error(ErrorCode::kUnavailable, "prefetch shed: " + logical);
+  }
   return Status::Ok();
 }
 

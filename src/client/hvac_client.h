@@ -19,6 +19,7 @@
 #include <optional>
 #include <string>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "client/meta_cache.h"
@@ -149,7 +150,10 @@ class HvacClient {
   // Size without opening.
   Result<uint64_t> stat_size(const std::string& path);
 
-  // Warms the home server's cache (paper future work: prefetching).
+  // Warms the home server's cache (paper future work: prefetching) —
+  // a kPrefetchBatch of one. A shed or unreachable server answers
+  // kUnavailable; a file the server could not cache is not an error
+  // (its reads go through the PFS).
   Status prefetch(const std::string& path);
 
   // Pipelined warm-up: fans the prefetches out over async channels
@@ -240,6 +244,10 @@ class HvacClient {
   // holds ra_mutex_).
   void discard_window(ReadAheadState& state);
 
+  // Counts read-ahead chunks fetched but never handed to the
+  // application (frame v2 read-ahead telemetry).
+  void count_wasted(size_t chunks);
+
   Result<int> open_via_pfs(const std::string& path);
 
   // Meta-cache lookup with the breaker check folded in: an entry whose
@@ -254,9 +262,39 @@ class HvacClient {
   std::optional<PackedCatalog::Resolved> packed_lookup(
       const std::string& logical);
 
-  // Segment-granular positional read (entry.segmented == true).
-  Result<size_t> pread_segmented(const core::FdEntry& entry, void* buf,
-                                 size_t count, uint64_t offset);
+  // The one read request: a kReadScatter for `extents` (file offsets)
+  // of `entry`'s source — its remote fd, its logical path, or for a
+  // segmented entry the segment holding the extents (offsets sent
+  // segment-relative) — and the server that serves it: the entry's
+  // home, or the segment's own home. A segmented entry's extents must
+  // all lie in one segment.
+  struct ReadRequest {
+    uint32_t server = 0;
+    rpc::Bytes body;
+  };
+  ReadRequest read_request(
+      const core::FdEntry& entry,
+      const std::vector<std::pair<uint64_t, uint32_t>>& extents) const;
+
+  // Copies extent `index` of a scatter reply, which must answer the
+  // chunk [offset, offset + count) of `entry`, into `out`. The one
+  // short-read rule: an extent may come back short only where the file
+  // ends. A remote read fd's size is authoritative (open reply, packed
+  // index or meta cache; the server clamps to it), so short mid-file
+  // means the serving copy was cut — an eviction race or an injected
+  // fault — and answers kUnavailable, which the caller recovers like a
+  // transport failure instead of handing the application a truncated
+  // sample. A reply of the wrong shape is kProtocol.
+  Result<size_t> take_extent(const core::FdEntry& entry,
+                             const uint8_t* reply, size_t reply_size,
+                             uint32_t index, uint64_t offset,
+                             uint32_t count, uint8_t* out) const;
+
+  // Remote reads that fail (or come back short mid-file) re-home the fd
+  // through recover_fd at most this many times; the last recovery goes
+  // straight to the PFS, so a server that accepts opens but fails every
+  // read cannot trap the client in an open/fail loop.
+  static constexpr int kMaxRecoveries = 3;
 
   // pread with a bounded recovery budget (recover_fd may re-home the
   // fd remotely; after kMaxRecoveries the read fails rather than loop).

@@ -411,10 +411,12 @@ int cmd_trace(const std::string& csv, bool chrome) {
   return failures == 0 ? 0 : 1;
 }
 
+// `stat` (kStat) or `warm` (a kPrefetchBatch of one) for one path.
 int cmd_path_op(uint16_t opcode, const std::string& endpoint,
                 const std::string& path) {
   rpc::RpcClient client(rpc::Endpoint{endpoint}, cli_options());
   WireWriter w;
+  if (opcode == proto::kPrefetchBatch) w.put_u32(1);
   w.put_string(path);
   const auto resp = client.call(opcode, w.bytes());
   if (!resp.ok()) {
@@ -427,9 +429,13 @@ int cmd_path_op(uint16_t opcode, const std::string& endpoint,
     std::printf("%s: %lu bytes\n", path.c_str(),
                 (unsigned long)size.value_or(0));
   } else {
-    const auto cached = r.get_u8();
+    const auto n = r.get_u32();
+    const auto status = r.get_u8();
+    const uint8_t s =
+        n.ok() && status.ok() ? *status : uint8_t{proto::kPrefetchMiss};
     std::printf("%s: %s\n", path.c_str(),
-                cached.ok() && *cached == 1 ? "cached"
+                s == proto::kPrefetchCached ? "cached"
+                : s == proto::kPrefetchShed ? "shed"
                                             : "pfs-fallback");
   }
   return 0;
@@ -717,7 +723,7 @@ TopRates rates_from(const core::TimeSeriesFrame& ts) {
   const core::LatencySnapshot* busiest = nullptr;
   for (const auto& [op, snap] : d.op_latency) {
     const std::string name = core::op_name(op);
-    if (name != "read" && name != "read_scatter" && name != "read_segment") {
+    if (name != "read" && name != "read_scatter") {
       continue;
     }
     if (busiest == nullptr || snap.count > busiest->count) busiest = &snap;
@@ -947,7 +953,9 @@ int main(int argc, char** argv) {
     return 2;
   }
   if (cmd == "stat") return cmd_path_op(proto::kStat, args[1], args[2]);
-  if (cmd == "warm") return cmd_path_op(proto::kPrefetch, args[1], args[2]);
+  if (cmd == "warm") {
+    return cmd_path_op(proto::kPrefetchBatch, args[1], args[2]);
+  }
   std::fprintf(stderr, "unknown command %s\n", cmd.c_str());
   return 2;
 }

@@ -122,39 +122,6 @@ Result<bool> CacheManager::ensure_segment_cached(
       });
 }
 
-Result<size_t> CacheManager::pread_segment(const std::string& logical_path,
-                                           uint64_t seg_index,
-                                           uint64_t segment_bytes,
-                                           void* buf, size_t count,
-                                           uint64_t offset_in_segment) {
-  const uint64_t file_offset =
-      seg_index * segment_bytes + offset_in_segment;
-  // Under eviction pressure the segment can be evicted between
-  // ensure_segment_cached and the store open (another thread made
-  // room for its own fetch) — retry, then read through the PFS.
-  for (int attempt = 0; attempt < 3; ++attempt) {
-    HVAC_ASSIGN_OR_RETURN(
-        bool cached,
-        ensure_segment_cached(logical_path, seg_index, segment_bytes));
-    if (!cached) break;  // capacity fallback
-    // Pinned handle: steady-state hits skip the open/close pair, and
-    // the pin defers a concurrent eviction's close past this pread.
-    auto pin = store_->open_pinned(segment_key(logical_path, seg_index));
-    if (!pin.ok()) {
-      if (pin.error().code == ErrorCode::kNotFound) continue;  // evicted
-      return pin.error();
-    }
-    HVAC_ASSIGN_OR_RETURN(size_t n,
-                          pin->pread(buf, count, offset_in_segment));
-    metrics_.add_cache_bytes(n);
-    return n;
-  }
-  HVAC_ASSIGN_OR_RETURN(storage::PosixFile f, pfs_->open(logical_path));
-  HVAC_ASSIGN_OR_RETURN(size_t n, pfs_->pread(f, buf, count, file_offset));
-  metrics_.on_pfs_fallback(n);
-  return n;
-}
-
 Result<storage::PosixFile> CacheManager::open_cached(
     const std::string& logical_path) {
   return store_->open(logical_path);
@@ -194,31 +161,44 @@ Result<std::vector<uint8_t>> CacheManager::read_through(
 
 Result<size_t> CacheManager::pread_through(const std::string& logical_path,
                                            void* buf, size_t count,
-                                           uint64_t offset) {
+                                           uint64_t offset,
+                                           uint64_t seg_index,
+                                           uint64_t segment_bytes) {
+  const bool segmented = segment_bytes > 0;
+  const std::string key =
+      segmented ? segment_key(logical_path, seg_index) : logical_path;
+  // Under eviction pressure the copy can be evicted between the ensure
+  // and the store open (another thread made room for its own fetch) —
+  // retry, then read through the PFS.
   for (int attempt = 0; attempt < 3; ++attempt) {
-    HVAC_ASSIGN_OR_RETURN(bool cached, ensure_cached(logical_path));
+    HVAC_ASSIGN_OR_RETURN(
+        bool cached,
+        segmented
+            ? ensure_segment_cached(logical_path, seg_index, segment_bytes)
+            : ensure_cached(logical_path));
     if (!cached) break;  // capacity fallback
-    auto pin = store_->open_pinned(logical_path);
+    auto pin = store_->open_pinned(key);
     if (!pin.ok()) {
       if (pin.error().code == ErrorCode::kNotFound) continue;  // evicted
       // A sick local store (NVMe I/O error, injected fault) must not
       // fail the read — degrade to the PFS below (§III-H fail-open).
-      HVAC_LOG_WARN("local store open failed for " << logical_path
-                    << ", serving from PFS: "
-                    << pin.error().to_string());
+      HVAC_LOG_WARN("local store open failed for " << key
+                    << ", serving from PFS: " << pin.error().to_string());
       break;
     }
     auto n = pin->pread(buf, count, offset);
     if (!n.ok()) {
-      HVAC_LOG_WARN("local store read failed for " << logical_path
+      HVAC_LOG_WARN("local store read failed for " << key
                     << ", serving from PFS: " << n.error().to_string());
       break;
     }
     metrics_.add_cache_bytes(*n);
     return *n;
   }
+  const uint64_t pfs_base = segmented ? seg_index * segment_bytes : 0;
   HVAC_ASSIGN_OR_RETURN(storage::PosixFile f, pfs_->open(logical_path));
-  HVAC_ASSIGN_OR_RETURN(size_t n, pfs_->pread(f, buf, count, offset));
+  HVAC_ASSIGN_OR_RETURN(size_t n,
+                        pfs_->pread(f, buf, count, pfs_base + offset));
   metrics_.on_pfs_fallback(n);
   return n;
 }

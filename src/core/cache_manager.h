@@ -56,9 +56,15 @@ class CacheManager {
   // copy then local store, capacity overflow -> PFS passthrough.
   Result<std::vector<uint8_t>> read_through(const std::string& logical_path);
 
-  // Positional read through the cache with the same semantics.
+  // Positional read through the cache: hit -> local store, miss ->
+  // copy then local store, capacity overflow or a failing local store
+  // -> PFS passthrough. With segment_bytes > 0 the cached unit is
+  // segment `seg_index` (segment_key) and `offset` is relative to the
+  // segment start (paper §III-E extension).
   Result<size_t> pread_through(const std::string& logical_path, void* buf,
-                               size_t count, uint64_t offset);
+                               size_t count, uint64_t offset,
+                               uint64_t seg_index = 0,
+                               uint64_t segment_bytes = 0);
 
   // ---- segment-level caching (paper §III-E extension) ------------------
   // Ensures segment `seg_index` (of `segment_bytes`-sized segments) of
@@ -68,14 +74,6 @@ class CacheManager {
   Result<bool> ensure_segment_cached(const std::string& logical_path,
                                      uint64_t seg_index,
                                      uint64_t segment_bytes);
-
-  // Positional read within one segment (offset relative to the
-  // segment start). Falls back to a PFS range read on capacity
-  // overflow.
-  Result<size_t> pread_segment(const std::string& logical_path,
-                               uint64_t seg_index, uint64_t segment_bytes,
-                               void* buf, size_t count,
-                               uint64_t offset_in_segment);
 
   bool is_cached(const std::string& logical_path) const {
     return store_->contains(logical_path);

@@ -241,7 +241,7 @@ struct PrefetchCounters {
 // by construction.
 enum class StallBucket : uint8_t {
   kLocalHit = 0,      // served from a warmed chunk / local bookkeeping
-  kRemoteRpc = 1,     // synchronous kRead/kReadScatter/kReadSegment RPC
+  kRemoteRpc = 1,     // synchronous kReadScatter RPC
   kPfsWait = 2,       // direct PFS fallback I/O
   kBackpressure = 3,  // waiting on an in-flight read-ahead future
   kRetry = 4,         // failed attempts + channel recovery penalty

@@ -556,16 +556,15 @@ Result<MetricsFrame> MetricsFrame::decode(const Bytes& bytes) {
 
 std::string op_name(uint16_t opcode) {
   // Mirrors hvac::proto::Opcode; the frame is part of the protocol, so
-  // these names are as stable as the opcode values themselves.
+  // these names are as stable as the opcode values themselves. Retired
+  // opcodes (6, 8) are never served, so they have no name.
   switch (opcode) {
     case 1: return "ping";
     case 2: return "open";
     case 3: return "read";
     case 4: return "close";
     case 5: return "stat";
-    case 6: return "prefetch";
     case 7: return "metrics";
-    case 8: return "read_segment";
     case 9: return "read_scatter";
     case 10: return "prefetch_batch";
     case 11: return "trace";

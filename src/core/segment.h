@@ -16,13 +16,6 @@
 
 namespace hvac::core {
 
-struct SegmentRange {
-  uint64_t index = 0;   // segment number
-  uint64_t offset = 0;  // absolute file offset of the segment start
-  uint64_t length = 0;  // bytes of the request inside this segment
-  uint64_t skip = 0;    // offset of the request within the segment
-};
-
 // Placement/caching key of one segment.
 inline std::string segment_key(const std::string& logical_path,
                                uint64_t segment_index) {
@@ -33,27 +26,6 @@ inline std::string segment_key(const std::string& logical_path,
 inline uint64_t segment_count(uint64_t file_size, uint64_t segment_bytes) {
   if (segment_bytes == 0 || file_size == 0) return 1;
   return (file_size + segment_bytes - 1) / segment_bytes;
-}
-
-// Splits a read [offset, offset+count) into per-segment subranges.
-// Calls `fn(SegmentRange)` in ascending order. `count` should already
-// be clamped to the file size by the caller.
-template <typename Fn>
-void for_each_segment(uint64_t offset, uint64_t count,
-                      uint64_t segment_bytes, Fn&& fn) {
-  if (count == 0) return;
-  uint64_t pos = offset;
-  const uint64_t end = offset + count;
-  while (pos < end) {
-    SegmentRange r;
-    r.index = pos / segment_bytes;
-    r.offset = r.index * segment_bytes;
-    r.skip = pos - r.offset;
-    const uint64_t seg_end = r.offset + segment_bytes;
-    r.length = std::min(end, seg_end) - pos;
-    fn(r);
-    pos += r.length;
-  }
 }
 
 }  // namespace hvac::core

@@ -10,27 +10,33 @@ enum Opcode : uint16_t {
   kPing = 1,      // ()                 -> ()
   kOpen = 2,      // (path)             -> (remote_fd, size, served_from)
   kRead = 3,      // (remote_fd, offset, count) -> (blob)
+                  // Single-extent fd read. No HVAC client sends it any
+                  // more (every client read is a kReadScatter); kept
+                  // only for the RPC micro-benches and the latency
+                  // ladder's loopback-RPC rung, which time it.
   kClose = 4,     // (remote_fd)        -> ()
   kStat = 5,      // (path)             -> (size)
-  kPrefetch = 6,  // (path)             -> (cached: u8)
+  // 6 retired (single-path prefetch; use kPrefetchBatch). Never reuse.
   kMetrics = 7,   // ()                 -> (hits, misses, dedup_waits,
                   //                        evictions, bytes_cache,
                   //                        bytes_pfs, fallbacks, open_fds)
-  kReadSegment = 8,  // (path, seg_index, segment_bytes,
-                     //  offset_in_segment, count) -> (blob)
-                     // Stateless segment-granular read: the unit of
-                     // caching is one segment, homed independently by
-                     // segment_key(path, idx) (paper §III-E extension).
-  kReadScatter = 9,  // (mode: u8 0=fd/1=path, remote_fd u64 | path,
-                     //  n u32, (offset u64, len u32) * n)
+  // 8 retired (segment read; use kReadScatter mode 2). Never reuse.
+  kReadScatter = 9,  // (mode u8, source, n u32, (offset u64, len u32) * n)
+                     // source by mode (ReadSourceMode below):
+                     //   0 fd:      remote_fd u64
+                     //   1 path:    path (packed samples resolve here)
+                     //   2 segment: path, seg_index u64,
+                     //              segment_bytes u64 — extent offsets
+                     //              are relative to the segment start
                      // -> scatter frame (rpc/wire.h decode_scatter):
                      // one reply, N extents, each kernel-copied on the
                      // hit path. Extents crossing EOF come back short.
+                     // The one read every HVAC client sends.
   kPrefetchBatch = 10,  // (n u32, path * n) -> (n u32, status u8 * n)
-                        // batched kPrefetch: one round trip warms a
-                        // whole epoch's worth of files. Every path is
-                        // submitted to the mover up front (the fetches
-                        // overlap) and each gets a PrefetchStatus:
+                        // One round trip warms a whole epoch's worth
+                        // of files. Every path is submitted to the
+                        // mover up front (the fetches overlap) and
+                        // each gets a PrefetchStatus:
                         // cached, miss (fetch failed / capacity
                         // overflow), or shed (mover queue full — the
                         // client should re-pace and retry, not blind-
@@ -69,6 +75,15 @@ enum Opcode : uint16_t {
                      // deltas, oldest first. Empty (0 samples,
                      // interval_ms 0) when HVAC_TS_INTERVAL_MS=0
                      // disabled the collector.
+};
+
+// kReadScatter source modes.
+enum ReadSourceMode : uint8_t {
+  kSourceFd = 0,       // a remote fd from kOpen
+  kSourcePath = 1,     // a logical path (no kOpen: meta cache / packed)
+  kSourceSegment = 2,  // one segment of a file (paper §III-E
+                       // extension): cached and homed independently
+                       // under segment_key(path, seg_index)
 };
 
 // kWriteOpen response mode / per-handle write routing.

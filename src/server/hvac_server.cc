@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <cstring>
 #include <vector>
 
 #include "common/env.h"
@@ -9,9 +10,9 @@
 #include "common/hash.h"
 #include "common/log.h"
 #include "common/trace.h"
+#include "core/segment.h"
 #include "core/trace_wire.h"
 #include "rpc/health.h"
-#include "rpc/wire.h"
 
 namespace hvac::server {
 
@@ -297,11 +298,11 @@ void HvacServer::register_handlers() {
   };
   // Hit-path ops run inline on the owning reactor thread, skipping the
   // pool queue/wake entirely: ping, close, the in-memory packed index,
-  // and read/scatter — which serve a resident file to completion there
-  // and defer to the pool on a miss (kWouldBlock), so a slow fetch
-  // never stalls a reactor's other connections. Everything else is
-  // mover-, PFS- or journal-bound and stays pooled; kOpen too, which
-  // still takes its place on the mover FIFO (see handle_open).
+  // and the reads — which serve a resident file, sample or segment to
+  // completion there and defer to the pool on a miss (kWouldBlock), so
+  // a slow fetch never stalls a reactor's other connections. Everything
+  // else is mover-, PFS- or journal-bound and stays pooled; kOpen too,
+  // which still takes its place on the mover FIFO (see handle_open).
   constexpr auto kInline = rpc::DispatchHint::kInline;
   rpc_.register_handler(
       proto::kPing, timed(proto::kPing, &HvacServer::handle_ping), kInline);
@@ -315,15 +316,10 @@ void HvacServer::register_handlers() {
   rpc_.register_handler(proto::kStat,
                         timed(proto::kStat, &HvacServer::handle_stat));
   rpc_.register_handler(
-      proto::kPrefetch, timed(proto::kPrefetch, &HvacServer::handle_prefetch));
-  rpc_.register_handler(
       proto::kMetrics, timed(proto::kMetrics, &HvacServer::handle_metrics));
   rpc_.register_handler(
       proto::kTimeSeries,
       timed(proto::kTimeSeries, &HvacServer::handle_time_series));
-  rpc_.register_payload_handler(
-      proto::kReadSegment,
-      timed(proto::kReadSegment, &HvacServer::handle_read_segment));
   rpc_.register_payload_handler(
       proto::kReadScatter,
       timed(proto::kReadScatter, &HvacServer::handle_read_scatter), kInline);
@@ -372,27 +368,6 @@ Result<Bytes> HvacServer::handle_packed_index(const Bytes&) {
   const std::vector<uint8_t>& raw = packed_->raw_index();
   w.put_blob(raw.data(), raw.size());
   return std::move(w).take();
-}
-
-Result<rpc::Payload> HvacServer::handle_read_segment(const Bytes& req) {
-  WireReader r(req);
-  HVAC_ASSIGN_OR_RETURN(std::string path, r.get_string());
-  HVAC_ASSIGN_OR_RETURN(uint64_t seg_index, r.get_u64());
-  HVAC_ASSIGN_OR_RETURN(uint64_t segment_bytes, r.get_u64());
-  HVAC_ASSIGN_OR_RETURN(uint64_t offset_in_segment, r.get_u64());
-  HVAC_ASSIGN_OR_RETURN(uint32_t count, r.get_u32());
-  if (count > proto::kMaxReadChunk || segment_bytes == 0) {
-    return Error(ErrorCode::kInvalidArgument, "bad segment read");
-  }
-  // pread lands directly in a pooled payload buffer, after the blob
-  // length prefix; no copy between the file and the socket.
-  hvac::BufferPool::Lease lease =
-      hvac::BufferPool::local().acquire(rpc::kBlobPrefix + count);
-  HVAC_ASSIGN_OR_RETURN(
-      size_t n, cache_->pread_segment(path, seg_index, segment_bytes,
-                                      lease.data() + rpc::kBlobPrefix,
-                                      count, offset_in_segment));
-  return rpc::blob_payload(std::move(lease), n);
 }
 
 Result<Bytes> HvacServer::handle_ping(const Bytes&) { return Bytes{}; }
@@ -461,96 +436,25 @@ Result<Bytes> HvacServer::handle_open(const Bytes& req) {
 
 Result<rpc::Payload> HvacServer::handle_read(const Bytes& req) {
   WireReader r(req);
-  HVAC_ASSIGN_OR_RETURN(uint64_t remote_fd, r.get_u64());
+  HVAC_ASSIGN_OR_RETURN(ReadSource src, decode_source(r, proto::kSourceFd));
   HVAC_ASSIGN_OR_RETURN(uint64_t offset, r.get_u64());
   HVAC_ASSIGN_OR_RETURN(uint32_t count, r.get_u32());
   if (count > proto::kMaxReadChunk) {
     return Error(ErrorCode::kInvalidArgument, "read chunk too large");
   }
-
-  std::shared_ptr<OpenFile> open_file;
-  {
-    std::lock_guard<std::mutex> lock(fds_mutex_);
-    auto it = open_fds_.find(remote_fd);
-    if (it == open_fds_.end()) {
-      return Error(ErrorCode::kBadFd,
-                   "unknown remote fd " + std::to_string(remote_fd));
-    }
-    open_file = it->second;
-  }
-  // A PFS-fallback fd reads through the PFS: never on a reactor.
-  if (open_file->pfs_fallback && rpc::RpcServer::on_reactor_thread()) {
-    return defer_to_pool();
-  }
-
-  // Zero-copy hit path: hand the RPC server a FileExtent — it
-  // sendfiles (or splices) the bytes from the cached fd straight to
-  // the socket. The OpenFile shared_ptr rides along as the keepalive,
-  // so a concurrent kClose cannot close the fd mid-send. Cached
-  // copies are immutable, so the open-time size clamps the extent
-  // exactly like pread's short read would.
-  if (!open_file->pfs_fallback &&
-      rpc_.zerocopy_mode() != rpc::ZeroCopyMode::kOff) {
-    const uint64_t avail =
-        offset < open_file->size ? open_file->size - offset : 0;
-    const uint64_t n = std::min<uint64_t>(count, avail);
-    cache_->record_served_bytes(n, true);
-    rpc::FileExtent extent;
-    extent.owner = open_file;
-    extent.fd = open_file->file.fd();
-    extent.offset = open_file->base_offset + offset;
-    extent.length = n;
-    return rpc::blob_extent_payload(std::move(extent));
-  }
-
-  // Pooled path: clamp to the open-time size too — for a packed
-  // sample the fd is the container, so reading past `size` would
-  // bleed into the next sample instead of hitting EOF.
-  {
-    const uint64_t avail =
-        offset < open_file->size ? open_file->size - offset : 0;
-    count = static_cast<uint32_t>(std::min<uint64_t>(count, avail));
-  }
-  hvac::BufferPool::Lease lease =
-      hvac::BufferPool::local().acquire(rpc::kBlobPrefix + count);
-  uint8_t* dst = lease.data() + rpc::kBlobPrefix;
-  size_t n = 0;
-  if (open_file->pfs_fallback) {
-    HVAC_ASSIGN_OR_RETURN(n, pfs_->pread(open_file->file, dst, count,
-                                         open_file->base_offset + offset));
-  } else {
-    HVAC_ASSIGN_OR_RETURN(n, open_file->file.pread(
-                                 dst, count,
-                                 open_file->base_offset + offset));
-  }
-  cache_->record_served_bytes(n, !open_file->pfs_fallback);
-  return rpc::blob_payload(std::move(lease), n);
+  HVAC_RETURN_IF_ERROR(resolve_source(src));
+  return serve_extents(src, {{offset, count}}, /*blob=*/true);
 }
 
 Result<rpc::Payload> HvacServer::handle_read_scatter(const Bytes& req) {
   WireReader r(req);
   HVAC_ASSIGN_OR_RETURN(uint8_t mode, r.get_u8());
-  std::shared_ptr<OpenFile> open_file;
-  std::string path;
-  if (mode == 0) {
-    HVAC_ASSIGN_OR_RETURN(uint64_t remote_fd, r.get_u64());
-    std::lock_guard<std::mutex> lock(fds_mutex_);
-    auto it = open_fds_.find(remote_fd);
-    if (it == open_fds_.end()) {
-      return Error(ErrorCode::kBadFd,
-                   "unknown remote fd " + std::to_string(remote_fd));
-    }
-    open_file = it->second;
-  } else if (mode == 1) {
-    HVAC_ASSIGN_OR_RETURN(path, r.get_string());
-  } else {
-    return Error(ErrorCode::kInvalidArgument, "bad scatter mode");
-  }
+  HVAC_ASSIGN_OR_RETURN(ReadSource src, decode_source(r, mode));
   HVAC_ASSIGN_OR_RETURN(uint32_t n, r.get_u32());
   if (n == 0 || n > proto::kMaxScatterExtents) {
     return Error(ErrorCode::kInvalidArgument, "bad scatter extent count");
   }
-  std::vector<std::pair<uint64_t, uint32_t>> want(n);
+  Extents want(n);
   uint64_t total = 0;
   for (auto& [off, len] : want) {
     HVAC_ASSIGN_OR_RETURN(off, r.get_u64());
@@ -563,149 +467,173 @@ Result<rpc::Payload> HvacServer::handle_read_scatter(const Bytes& req) {
   if (total > proto::kMaxScatterBytes) {
     return Error(ErrorCode::kInvalidArgument, "scatter request too large");
   }
-  // On a reactor thread only a cached source is served; every read
-  // that would go to the mover or the PFS defers to the pool.
+  HVAC_RETURN_IF_ERROR(resolve_source(src));
+  return serve_extents(src, std::move(want), /*blob=*/false);
+}
+
+Result<HvacServer::ReadSource> HvacServer::decode_source(WireReader& r,
+                                                         uint8_t mode) {
+  ReadSource src;
+  switch (mode) {
+    case proto::kSourceFd: {
+      HVAC_ASSIGN_OR_RETURN(uint64_t remote_fd, r.get_u64());
+      std::lock_guard<std::mutex> lock(fds_mutex_);
+      auto it = open_fds_.find(remote_fd);
+      if (it == open_fds_.end()) {
+        return Error(ErrorCode::kBadFd,
+                     "unknown remote fd " + std::to_string(remote_fd));
+      }
+      src.open_file = it->second;
+      return src;
+    }
+    case proto::kSourcePath: {
+      HVAC_ASSIGN_OR_RETURN(src.path, r.get_string());
+      return src;
+    }
+    case proto::kSourceSegment: {
+      HVAC_ASSIGN_OR_RETURN(src.path, r.get_string());
+      HVAC_ASSIGN_OR_RETURN(src.seg_index, r.get_u64());
+      HVAC_ASSIGN_OR_RETURN(src.segment_bytes, r.get_u64());
+      if (src.segment_bytes == 0 ||
+          src.seg_index > UINT64_MAX / src.segment_bytes) {
+        return Error(ErrorCode::kInvalidArgument, "bad segment");
+      }
+      return src;
+    }
+    default:
+      return Error(ErrorCode::kInvalidArgument, "bad scatter mode");
+  }
+}
+
+Status HvacServer::resolve_source(ReadSource& src) {
   const bool on_reactor = rpc::RpcServer::on_reactor_thread();
-  if (on_reactor && open_file != nullptr && open_file->pfs_fallback) {
-    return defer_to_pool();
+  if (src.open_file != nullptr) {
+    // The open already chose between the cached copy and the PFS. A
+    // PFS-fallback fd reads through the PFS: never on a reactor.
+    const OpenFile& f = *src.open_file;
+    if (f.pfs_fallback && on_reactor) return defer_to_pool();
+    src.base = f.base_offset;
+    src.limit = f.size;
+    if (!f.pfs_fallback) {
+      src.cached = &f.file;
+      src.owner = src.open_file;
+    }
+    return Status::Ok();
   }
 
-  // Resolve a cached fd for the extents when one exists. In path mode
-  // the file may have been evicted since the client's metadata said
-  // "cached" — then every extent degrades to pread_through, which
-  // re-fetches or reads the PFS (and does its own byte accounting).
-  //
-  // Packed samples arrive in path mode (the client resolved the sample
-  // from the fetched index and skipped kOpen entirely): rewrite to the
-  // container's logical path, make sure the container is resident (the
-  // hit probe inline, one mover fetch pooled), and translate every
-  // extent by the sample's base offset while clamping to the sample
-  // length. The reply table always echoes the *requested*
-  // sample-relative offsets.
-  std::shared_ptr<const void> owner;
-  int src_fd = -1;
-  uint64_t src_size = 0;
-  bool cached_fd = false;
-  uint64_t base = 0;
-  uint64_t limit = 0;     // clamp bound: sample length or file size
-  bool has_limit = false;
-  std::shared_ptr<storage::OpenHandleCache::Pin> pin;
-  if (open_file != nullptr) {
-    path = open_file->logical_path;
-    base = open_file->base_offset;
-    limit = open_file->size;
-    has_limit = true;
-    if (!open_file->pfs_fallback) {
-      owner = open_file;
-      src_fd = open_file->file.fd();
-      src_size = open_file->size;
-      cached_fd = true;
+  // Path and segment sources make sure their copy is resident: the hit
+  // probe inline, the fetch pooled. Packed samples arrive by path (the
+  // client resolved them from the fetched index and skipped kOpen):
+  // rewrite to the container, whose one fetch caches every sample in
+  // it, and address the sample by its base and length. An unpacked
+  // path is read through the cache extent by extent when not resident.
+  std::string seg_key;
+  bool probe = false;
+  if (src.segment_bytes > 0) {
+    seg_key = core::segment_key(src.path, src.seg_index);
+    src.limit = src.segment_bytes;
+    probe = true;
+    if (!on_reactor) {
+      HVAC_ASSIGN_OR_RETURN(bool cached,
+                            cache_->ensure_segment_cached(
+                                src.path, src.seg_index, src.segment_bytes));
+      (void)cached;  // not cached: the extents read through the PFS
     }
-  } else {
-    const PackedRoute route = route_packed(path);
-    if (route.packed) {
-      base = route.base;
-      limit = route.length;
-      has_limit = true;
-      if (on_reactor) {
-        if (!cache_->try_hit(path)) return defer_to_pool();
-      } else {
-        // One blocking fetch caches the whole container (pooled, so
-        // the mover wait cannot stall a reactor).
-        (void)mover_->fetch(path);
-      }
-    }
-    if (cache_->is_cached(path)) {
-      auto pinned = cache_->store().open_pinned(path);
-      if (pinned.ok()) {
-        pin = std::make_shared<storage::OpenHandleCache::Pin>(
-            std::move(pinned).value());
-        HVAC_ASSIGN_OR_RETURN(src_size, pin->size());
-        src_fd = pin->file().fd();
-        owner = pin;
-        cached_fd = true;
-        if (!has_limit) {
-          limit = src_size;
-          has_limit = true;
-        }
-      }
-    }
-    // Uncached unpacked file, or evicted since the probe.
-    if (!cached_fd && on_reactor) return defer_to_pool();
+  } else if (const PackedRoute route = route_packed(src.path); route.packed) {
+    src.base = route.base;
+    src.limit = route.length;
+    probe = true;
+    if (!on_reactor) (void)mover_->fetch(src.path);
   }
+  // The cache key: the segment's, else the (container) path.
+  const std::string& key = src.segment_bytes > 0 ? seg_key : src.path;
+  if (on_reactor && probe && !cache_->try_hit(key)) return defer_to_pool();
 
-  if (cached_fd && rpc_.zerocopy_mode() != rpc::ZeroCopyMode::kOff) {
-    WireWriter table;
-    table.put_u32(n);
-    uint64_t total_act = 0;
-    for (auto& [off, len] : want) {
-      const uint64_t avail = off < limit ? limit - off : 0;
-      len = static_cast<uint32_t>(std::min<uint64_t>(len, avail));
-      table.put_u64(off);
-      table.put_u32(len);
-      total_act += len;
+  if (cache_->is_cached(key)) {
+    auto pinned = cache_->store().open_pinned(key);
+    if (pinned.ok()) {
+      auto pin = std::make_shared<storage::OpenHandleCache::Pin>(
+          std::move(pinned).value());
+      HVAC_ASSIGN_OR_RETURN(uint64_t size, pin->size());
+      src.limit = std::min(src.limit, size);
+      src.cached = &pin->file();
+      src.owner = std::move(pin);
     }
-    rpc::Payload p(std::move(table).take());
+  }
+  // Not resident (or evicted, or the store failed since the probe).
+  if (src.cached == nullptr && on_reactor) return defer_to_pool();
+  return Status::Ok();
+}
+
+Result<rpc::Payload> HvacServer::serve_extents(const ReadSource& src,
+                                               Extents want, bool blob) {
+  uint64_t total = 0;
+  for (auto& [off, len] : want) {
+    const uint64_t avail = off < src.limit ? src.limit - off : 0;
+    len = static_cast<uint32_t>(std::min<uint64_t>(len, avail));
+    total += len;
+  }
+  auto head = [&] {
+    WireWriter w;
+    if (blob) {
+      w.put_u32(want[0].second);
+    } else {
+      w.put_u32(static_cast<uint32_t>(want.size()));
+      for (const auto& [off, len] : want) {
+        w.put_u64(off);
+        w.put_u32(len);
+      }
+    }
+    return std::move(w).take();
+  };
+
+  // Zero-copy hit path: hand the RPC server FileExtents — it sendfiles
+  // (or splices) the bytes from the cached fd straight to the socket,
+  // with the owner riding along so a concurrent kClose or eviction
+  // cannot close the fd mid-send. Cached copies are immutable, so the
+  // clamp above is exactly the short read pread would give.
+  if (src.cached != nullptr &&
+      rpc_.zerocopy_mode() != rpc::ZeroCopyMode::kOff) {
+    rpc::Payload p(head());
     for (const auto& [off, len] : want) {
       if (len == 0) continue;
-      p.add_extent(rpc::FileExtent{owner, src_fd, base + off, len});
+      p.add_extent(
+          rpc::FileExtent{src.owner, src.cached->fd(), src.base + off, len});
     }
-    cache_->record_served_bytes(total_act, true);
+    cache_->record_served_bytes(total, true);
     return p;
   }
 
-  // Pooled path: stage the extents packed behind the table in one
-  // lease. Actual lengths (EOF clamps) are only known after the
-  // preads, so the table is stamped last.
-  const size_t table_size = rpc::scatter_table_size(n);
+  // Pooled path: pread the extents packed behind the head in one
+  // lease. Without a known bound (an unpacked file not resident) the
+  // actual lengths are only known after the preads, so the head is
+  // stamped last.
+  const size_t head_size =
+      blob ? rpc::kBlobPrefix : rpc::scatter_table_size(want.size());
   hvac::BufferPool::Lease lease =
-      hvac::BufferPool::local().acquire(table_size + total);
-  uint8_t* data = lease.data() + table_size;
-  size_t cursor = 0;
-  std::vector<uint32_t> actual(n);
-  for (uint32_t i = 0; i < n; ++i) {
-    const auto [off, len] = want[i];
-    // Clamp to the sample/file bound whenever one is known — a packed
-    // sample's fd is the container, so an unclamped read would bleed
-    // into the neighbouring sample instead of hitting EOF.
-    uint32_t clamped = len;
-    if (has_limit) {
-      const uint64_t avail = off < limit ? limit - off : 0;
-      clamped = static_cast<uint32_t>(std::min<uint64_t>(len, avail));
-    }
+      hvac::BufferPool::local().acquire(head_size + total);
+  size_t cursor = head_size;
+  for (auto& [off, len] : want) {
+    uint8_t* dst = lease.data() + cursor;
     size_t got = 0;
-    if (cached_fd) {
-      if (open_file != nullptr) {
-        HVAC_ASSIGN_OR_RETURN(
-            got,
-            open_file->file.pread(data + cursor, clamped, base + off));
-      } else {
-        HVAC_ASSIGN_OR_RETURN(
-            got, pin->pread(data + cursor, clamped, base + off));
-      }
+    if (src.cached != nullptr) {
+      HVAC_ASSIGN_OR_RETURN(got, src.cached->pread(dst, len, src.base + off));
       cache_->record_served_bytes(got, true);
-    } else if (open_file != nullptr) {
-      // PFS-fallback remote fd: read through the borrowed PFS handle.
+    } else if (src.open_file != nullptr) {
       HVAC_ASSIGN_OR_RETURN(
-          got, pfs_->pread(open_file->file, data + cursor, clamped,
-                           base + off));
+          got, pfs_->pread(src.open_file->file, dst, len, src.base + off));
       cache_->record_served_bytes(got, false);
     } else {
       HVAC_ASSIGN_OR_RETURN(
-          got,
-          cache_->pread_through(path, data + cursor, clamped, base + off));
+          got, cache_->pread_through(src.path, dst, len, src.base + off,
+                                     src.seg_index, src.segment_bytes));
     }
-    actual[i] = static_cast<uint32_t>(got);
+    len = static_cast<uint32_t>(got);
     cursor += got;
   }
-  WireWriter table;
-  table.put_u32(n);
-  for (uint32_t i = 0; i < n; ++i) {
-    table.put_u64(want[i].first);
-    table.put_u32(actual[i]);
-  }
-  std::memcpy(lease.data(), table.bytes().data(), table_size);
-  lease.resize(table_size + cursor);
+  const Bytes stamped = head();
+  std::memcpy(lease.data(), stamped.data(), head_size);
+  lease.resize(cursor);
   return rpc::Payload(std::move(lease));
 }
 
@@ -746,17 +674,6 @@ Result<Bytes> HvacServer::handle_stat(const Bytes& req) {
   // Trailing cached flag (added for the client metadata cache). Old
   // clients read the u64 and stop; new clients treat a missing flag as
   // not-cached.
-  w.put_u8(cached ? 1 : 0);
-  return std::move(w).take();
-}
-
-Result<Bytes> HvacServer::handle_prefetch(const Bytes& req) {
-  WireReader r(req);
-  HVAC_ASSIGN_OR_RETURN(std::string path, r.get_string());
-  // Prefetching a packed sample warms its whole container.
-  (void)route_packed(path);
-  HVAC_ASSIGN_OR_RETURN(bool cached, mover_->fetch(path));
-  WireWriter w;
   w.put_u8(cached ? 1 : 0);
   return std::move(w).take();
 }

@@ -18,6 +18,8 @@
 #include <string>
 #include <thread>
 #include <unordered_map>
+#include <utility>
+#include <vector>
 
 #include "common/result.h"
 #include "core/cache_manager.h"
@@ -26,6 +28,7 @@
 #include "core/metrics_frame.h"
 #include "core/timeseries.h"
 #include "rpc/rpc_server.h"
+#include "rpc/wire.h"
 #include "server/hvac_proto.h"
 #include "storage/packed_store.h"
 #include "storage/pfs_backend.h"
@@ -141,19 +144,13 @@ class HvacServer {
   void register_handlers();
 
   Result<rpc::Bytes> handle_open(const rpc::Bytes& req);
-  // The two read handlers return pooled payloads (rpc::Payload): the
-  // file bytes are pread straight into a BufferPool lease that the
-  // RPC server writes out with one gathered syscall.
+  // Both read handlers are decode + resolve_source + serve_extents:
+  // kReadScatter (every client read) answers a scatter frame, kRead
+  // (kept for the benches) one blob.
   Result<rpc::Payload> handle_read(const rpc::Bytes& req);
+  Result<rpc::Payload> handle_read_scatter(const rpc::Bytes& req);
   Result<rpc::Bytes> handle_close(const rpc::Bytes& req);
   Result<rpc::Bytes> handle_stat(const rpc::Bytes& req);
-  Result<rpc::Payload> handle_read_segment(const rpc::Bytes& req);
-  // Scatter read: N extents of one file in one framed reply. On the
-  // cache-hit path with zero-copy enabled the extents ride as
-  // FileExtents (kernel-copied at send time); otherwise they are
-  // staged packed into one pooled lease behind the extent table.
-  Result<rpc::Payload> handle_read_scatter(const rpc::Bytes& req);
-  Result<rpc::Bytes> handle_prefetch(const rpc::Bytes& req);
   Result<rpc::Bytes> handle_prefetch_batch(const rpc::Bytes& req);
   Result<rpc::Bytes> handle_metrics(const rpc::Bytes& req);
   Result<rpc::Bytes> handle_time_series(const rpc::Bytes& req);
@@ -182,6 +179,39 @@ class HvacServer {
   void on_flushed(const std::string& logical_path);
   // Demotes a write-back handle to write-through after ENOSPC.
   Status shed_to_write_through(WriteHandle& h);
+
+  // Where one read request's bytes come from. decode_source fills the
+  // request half (no side effects, so a malformed request counts
+  // nothing); resolve_source fills the rest.
+  struct ReadSource {
+    std::shared_ptr<OpenFile> open_file;  // fd source
+    std::string path;                     // path / segment source
+    uint64_t seg_index = 0;
+    uint64_t segment_bytes = 0;  // > 0: segment source
+    // Every extent offset is shifted by `base` and clamped to `limit`
+    // (the sample, segment or file length): a packed sample's fd is the
+    // container, so an unclamped read would bleed into its neighbour.
+    uint64_t base = 0;
+    uint64_t limit = UINT64_MAX;
+    // The cached copy to serve from, kept open by `owner` (the OpenFile
+    // or a pinned store handle). Null: a PFS-fallback fd reads its PFS
+    // handle, any other source reads through the cache.
+    const storage::PosixFile* cached = nullptr;
+    std::shared_ptr<const void> owner;
+  };
+  using Extents = std::vector<std::pair<uint64_t, uint32_t>>;
+
+  // Decodes the source of a kReadScatter in `mode` (kRead: fd mode).
+  Result<ReadSource> decode_source(rpc::WireReader& r, uint8_t mode);
+  // Finds the cached copy, fetching on a miss. On a reactor thread
+  // only a cache hit resolves: anything that would wait on the mover
+  // or the PFS answers kWouldBlock and the request re-runs pooled.
+  Status resolve_source(ReadSource& src);
+  // Clamps `want` to the source and serves it: zero-copy FileExtents
+  // off a cached copy, else preads into one pooled lease. The reply is
+  // a scatter frame, or one blob when `blob` (kRead: one extent).
+  Result<rpc::Payload> serve_extents(const ReadSource& src, Extents want,
+                                     bool blob);
 
   // Packed resolution for prefetch/open/stat/read paths: when `path`
   // is a packed sample, rewrites it to the container's logical path

@@ -48,7 +48,8 @@ Result<size_t> PosixFile::read(void* buf, size_t count) {
   }
 }
 
-Result<size_t> PosixFile::pread(void* buf, size_t count, uint64_t offset) {
+Result<size_t> PosixFile::pread(void* buf, size_t count,
+                                uint64_t offset) const {
   for (;;) {
     const ssize_t n =
         ::pread(fd_, buf, count, static_cast<off_t>(offset));

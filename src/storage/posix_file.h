@@ -38,7 +38,7 @@ class PosixFile {
   // Sequential read; returns the byte count (0 at EOF).
   Result<size_t> read(void* buf, size_t count);
   // Positional read; does not move the file offset.
-  Result<size_t> pread(void* buf, size_t count, uint64_t offset);
+  Result<size_t> pread(void* buf, size_t count, uint64_t offset) const;
   // Both writes are exact: they resume short transfers and retry
   // EINTR/EAGAIN until every byte is down or a real error surfaces
   // (same discipline as sendfile_exact/splice_exact on the read side).

@@ -392,7 +392,7 @@ TEST(Backpressure, DataMoverQueueRejectsWhenSaturated) {
   }
 
   // One mover, a one-slot FIFO, and a PFS that takes ~40 ms per fetch:
-  // four handler threads submitting concurrently must overflow it.
+  // one batch submitting all twelve paths up front must overflow it.
   storage::PfsOptions po;
   po.metadata_latency_us = 40'000;
   storage::PfsBackend pfs(pfs_root, po);
@@ -409,29 +409,29 @@ TEST(Backpressure, DataMoverQueueRejectsWhenSaturated) {
   const uint64_t rejects_before =
       counters.mover_rejects.load(std::memory_order_relaxed);
 
-  // Concurrent single prefetches: prefetch_many now batches per server
-  // (one kPrefetchBatch call submits its fetches sequentially inside a
-  // single handler), so saturating the one-slot queue needs the calls
-  // fanned out individually across the four handler threads.
-  rpc::AsyncRpcClient direct(rpc::Endpoint{server.address()});
-  std::vector<std::future<Result<rpc::Bytes>>> futs;
-  for (const auto& rel : rels) {
-    rpc::WireWriter w;
-    w.put_string(rel);
-    futs.push_back(direct.call_async(proto::kPrefetch, w.bytes()));
-  }
+  rpc::RpcClient direct(rpc::Endpoint{server.address()});
+  rpc::WireWriter w;
+  w.put_u32(static_cast<uint32_t>(rels.size()));
+  for (const auto& rel : rels) w.put_string(rel);
+  const auto resp = direct.call(proto::kPrefetchBatch, w.bytes());
+  ASSERT_TRUE(resp.ok()) << resp.error().to_string();
+  rpc::WireReader r(*resp);
+  ASSERT_EQ(*r.get_u32(), rels.size());
   size_t warmed = 0;
-  for (auto& fut : futs) {
-    const auto resp = fut.get();
-    if (resp.ok() && !resp->empty() && (*resp)[0] == 1) ++warmed;
+  size_t shed = 0;
+  for (size_t i = 0; i < rels.size(); ++i) {
+    const uint8_t status = *r.get_u8();
+    if (status == proto::kPrefetchCached) ++warmed;
+    if (status == proto::kPrefetchShed) ++shed;
   }
 
   const uint64_t rejects =
       counters.mover_rejects.load(std::memory_order_relaxed) -
       rejects_before;
   EXPECT_GT(rejects, 0u);
-  EXPECT_LT(warmed, rels.size());  // the rejected ones were not warmed
-  EXPECT_EQ(warmed + rejects, rels.size());
+  EXPECT_EQ(shed, rejects);  // every rejected submit reports shed
+  EXPECT_LT(warmed, rels.size());  // the shed ones were not warmed
+  EXPECT_EQ(warmed + shed, rels.size());
   server.stop();
   rpc::HealthRegistry::global().reset();
 }

@@ -12,6 +12,8 @@
 #include <filesystem>
 #include <future>
 #include <string>
+#include <thread>
+#include <utility>
 #include <vector>
 
 #include "client/hvac_client.h"
@@ -300,7 +302,8 @@ TEST(HitPath, FdModeReadToEofIsOneReadRpc) {
   }
   const core::MetricsFrame frame = alloc.node->aggregated_frame();
   EXPECT_EQ(op_count(frame, proto::kOpen), 2 * files);
-  EXPECT_EQ(op_count(frame, proto::kRead), 2 * files);
+  EXPECT_EQ(op_count(frame, proto::kReadScatter), 2 * files);
+  EXPECT_EQ(op_count(frame, proto::kRead), 0u);
   EXPECT_EQ(frame.cache.misses, files);
   EXPECT_EQ(frame.cache.hits, files);
   EXPECT_EQ(alloc.node->instance(0).rpc().requests_served(),
@@ -308,18 +311,65 @@ TEST(HitPath, FdModeReadToEofIsOneReadRpc) {
   EXPECT_EQ(client.stats().reads, 4 * files);  // EOF reads still count
 }
 
+// ---- scripted servers -----------------------------------------------------
+
+// The source mode and extents of a kReadScatter request (fd or path
+// mode).
+struct ScatterRequest {
+  uint8_t mode = 0;
+  std::vector<std::pair<uint64_t, uint32_t>> extents;
+};
+
+ScatterRequest parse_scatter(const Bytes& req) {
+  ScatterRequest sr;
+  WireReader r(req);
+  sr.mode = *r.get_u8();
+  if (sr.mode == proto::kSourcePath) {
+    (void)r.get_string();
+  } else {
+    (void)r.get_u64();
+  }
+  sr.extents.resize(*r.get_u32());
+  for (auto& [off, len] : sr.extents) {
+    off = *r.get_u64();
+    len = *r.get_u32();
+  }
+  return sr;
+}
+
+// A scatter frame answering `extents` from `file`, each extent clamped
+// to EOF and to `cap` bytes.
+Bytes scatter_reply(const std::vector<uint8_t>& file,
+                    const std::vector<std::pair<uint64_t, uint32_t>>& extents,
+                    uint32_t cap) {
+  WireWriter w;
+  w.put_u32(static_cast<uint32_t>(extents.size()));
+  std::vector<uint8_t> data;
+  for (const auto& [off, len] : extents) {
+    const uint64_t avail = off < file.size() ? file.size() - off : 0;
+    const uint64_t n = std::min<uint64_t>({len, avail, cap});
+    w.put_u64(off);
+    w.put_u32(static_cast<uint32_t>(n));
+    data.insert(data.end(), file.begin() + off, file.begin() + off + n);
+  }
+  Bytes out = std::move(w).take();
+  out.insert(out.end(), data.begin(), data.end());
+  return out;
+}
+
 // ---- short read mid-file --------------------------------------------------
 
 TEST(HitPath, ShortScatterMidFileStillRecovers) {
   // A scripted server: kOpen says "1000 bytes, cached"; a path-mode
-  // kReadScatter answers short mid-file (a cut serving copy); kRead on
-  // the re-opened fd answers in full. The EOF rule must not swallow
-  // the short read: the client recovers and returns every byte.
+  // kReadScatter answers short mid-file (a cut serving copy); an
+  // fd-mode one on the re-opened fd answers in full. The EOF rule must
+  // not swallow the short read: the client recovers and returns every
+  // byte.
   constexpr uint32_t kSize = 1000;
   const std::vector<uint8_t> expected =
       workload::expected_contents("s.bin", kSize);
   std::atomic<int> opens{0};
-  std::atomic<int> scatters{0};
+  std::atomic<int> path_scatters{0};
   rpc::RpcServerOptions so;
   so.reactors = 1;
   rpc::RpcServer fake(so);
@@ -334,25 +384,14 @@ TEST(HitPath, ShortScatterMidFileStillRecovers) {
   fake.register_handler(proto::kClose,
                         [](const Bytes&) -> Result<Bytes> { return Bytes{}; });
   fake.register_handler(proto::kReadScatter,
-                        [&](const Bytes&) -> Result<Bytes> {
-    ++scatters;
-    WireWriter w;
-    w.put_u32(1);
-    w.put_u64(0);
-    w.put_u32(100);
-    Bytes out = std::move(w).take();
-    out.insert(out.end(), expected.begin(), expected.begin() + 100);
-    return out;
-  });
-  fake.register_handler(proto::kRead, [&](const Bytes& req) -> Result<Bytes> {
-    WireReader r(req);
-    (void)r.get_u64();
-    const uint64_t off = *r.get_u64();
-    const uint32_t count = *r.get_u32();
-    const uint64_t n = std::min<uint64_t>(count, off < kSize ? kSize - off : 0);
-    WireWriter w;
-    w.put_blob(expected.data() + off, n);
-    return std::move(w).take();
+                        [&](const Bytes& req) -> Result<Bytes> {
+    const ScatterRequest sr = parse_scatter(req);
+    uint32_t cap = UINT32_MAX;
+    if (sr.mode == proto::kSourcePath) {
+      ++path_scatters;
+      cap = 100;
+    }
+    return scatter_reply(expected, sr.extents, cap);
   });
   ASSERT_TRUE(fake.start().ok());
 
@@ -374,9 +413,69 @@ TEST(HitPath, ShortScatterMidFileStillRecovers) {
   auto data = read_to_eof(client, path, kSize);
   ASSERT_TRUE(data.ok()) << data.error().to_string();
   EXPECT_EQ(*data, expected);
-  EXPECT_EQ(scatters.load(), 1);
+  EXPECT_EQ(path_scatters.load(), 1);
   EXPECT_EQ(opens.load(), 2);  // recover_fd re-opened the file
   EXPECT_GE(client.stats().failovers, 1u);
+  fake.stop();
+}
+
+// ---- read-ahead wait bound ------------------------------------------------
+
+TEST(HitPath, StalledReadAheadWaitIsBounded) {
+  // A scripted server that stalls every multi-extent kReadScatter (a
+  // read-ahead batch) for 3 s and answers single-extent ones at once.
+  // With a 200 ms call deadline, a read waits at most that long on the
+  // stalled window, drops it and finishes on the synchronous path.
+  constexpr uint32_t kSize = 4000;
+  constexpr int kStallMs = 3000;
+  const std::vector<uint8_t> expected =
+      workload::expected_contents("s.bin", kSize);
+  rpc::RpcServerOptions so;
+  so.reactors = 1;
+  so.handler_threads = 4;  // stalled batches must not starve the syncs
+  rpc::RpcServer fake(so);
+  fake.register_handler(proto::kOpen, [&](const Bytes&) -> Result<Bytes> {
+    WireWriter w;
+    w.put_u64(7);
+    w.put_u64(kSize);
+    w.put_u8(proto::kFromCache);
+    return std::move(w).take();
+  });
+  fake.register_handler(proto::kClose,
+                        [](const Bytes&) -> Result<Bytes> { return Bytes{}; });
+  fake.register_handler(proto::kReadScatter,
+                        [&](const Bytes& req) -> Result<Bytes> {
+    const ScatterRequest sr = parse_scatter(req);
+    if (sr.extents.size() > 1) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(kStallMs));
+    }
+    return scatter_reply(expected, sr.extents, UINT32_MAX);
+  });
+  ASSERT_TRUE(fake.start().ok());
+
+  const std::string root = temp_dir("stall_pfs");
+  HvacClientOptions o;
+  o.dataset_dir = root;
+  o.server_endpoints = {fake.endpoint().address};
+  o.packed_enabled = false;
+  o.readahead_chunks = 2;
+  o.rpc.call_timeout_ms = 200;
+  HvacClient client(o);
+  // The first open caches the file's metadata, so the timed read below
+  // goes by path: the same kReadScatter mode a meta-cache or packed
+  // open uses.
+  const std::string path = root + "/s.bin";
+  auto first = client.open(path);
+  ASSERT_TRUE(first.ok()) << first.error().to_string();
+  ASSERT_TRUE(client.close(*first).ok());
+  const auto t0 = std::chrono::steady_clock::now();
+  auto data = read_to_eof(client, path, kSize / 4);
+  const double elapsed_ms = ms_since(t0);
+  ASSERT_TRUE(data.ok()) << data.error().to_string();
+  EXPECT_EQ(*data, expected);
+  EXPECT_LT(elapsed_ms, 1500.0);
+  EXPECT_GT(client.stats().readahead_issued, 0u);
+  EXPECT_GT(client.stats().readahead_wasted, 0u);
   fake.stop();
 }
 

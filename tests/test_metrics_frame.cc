@@ -410,12 +410,14 @@ TEST(MetricsFrameAggregation, NodeRuntimeAggregatesInstances) {
                           rpc::RpcClientOptions{2000, 10000});
     for (int round = 0; round < 2; ++round) {
       WireWriter w;
+      w.put_u8(proto::kSourceSegment);
       w.put_string(tree->relative_paths[0]);
       w.put_u64(0);     // segment index
       w.put_u64(1024);  // segment bytes
+      w.put_u32(1);
       w.put_u64(0);     // offset in segment
       w.put_u32(512);
-      ASSERT_TRUE(direct.call(proto::kReadSegment, w.bytes()).ok());
+      ASSERT_TRUE(direct.call(proto::kReadScatter, w.bytes()).ok());
     }
   }
 
@@ -428,10 +430,11 @@ TEST(MetricsFrameAggregation, NodeRuntimeAggregatesInstances) {
   // The segment reads went through the pinned-handle cache.
   EXPECT_GE(total.handle_cache.misses, 1u);
   EXPECT_GE(total.handle_cache.hits, 1u);
-  // Every open/read/close pair shows up in the per-op histograms.
-  ASSERT_EQ(total.op_latency.count(proto::kRead), 1u);
-  EXPECT_EQ(total.op_latency.at(proto::kRead).count,
-            2 * tree->relative_paths.size());
+  // Every open/read/close pair shows up in the per-op histograms: the
+  // client's reads and the two segment reads are all kReadScatter.
+  ASSERT_EQ(total.op_latency.count(proto::kReadScatter), 1u);
+  EXPECT_EQ(total.op_latency.at(proto::kReadScatter).count,
+            2 * tree->relative_paths.size() + 2);
   ASSERT_EQ(total.op_latency.count(proto::kOpen), 1u);
   EXPECT_GT(total.op_latency.at(proto::kOpen).percentile_ns(99), 0.0);
 
@@ -446,8 +449,8 @@ TEST(MetricsFrameAggregation, NodeRuntimeAggregatesInstances) {
   const auto decoded = MetricsFrame::decode(total.encode());
   ASSERT_TRUE(decoded.ok());
   EXPECT_EQ(decoded->cache.hits, total.cache.hits);
-  EXPECT_EQ(decoded->op_latency.at(proto::kRead).count,
-            total.op_latency.at(proto::kRead).count);
+  EXPECT_EQ(decoded->op_latency.at(proto::kReadScatter).count,
+            total.op_latency.at(proto::kReadScatter).count);
 
   node.stop();
   fs::remove_all(pfs_root);

@@ -106,8 +106,8 @@ TEST_P(CacheModelCheck, RandomOpsMatchReferenceModel) {
         const uint64_t seg_off = seg * seg_bytes;
         if (seg_off >= contents[f].size()) break;
         std::vector<uint8_t> buf(seg_bytes);
-        const auto n = cache.pread_segment(rels[f], seg, seg_bytes,
-                                           buf.data(), buf.size(), 0);
+        const auto n = cache.pread_through(rels[f], buf.data(), buf.size(),
+                                           0, seg, seg_bytes);
         ASSERT_TRUE(n.ok());
         const size_t expect = std::min<uint64_t>(
             seg_bytes, contents[f].size() - seg_off);

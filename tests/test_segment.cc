@@ -10,6 +10,7 @@
 #include <thread>
 
 #include "client/hvac_client.h"
+#include "common/fault_injection.h"
 #include "core/cache_manager.h"
 #include "core/placement.h"
 #include "core/segment.h"
@@ -21,7 +22,6 @@ namespace hvac {
 namespace {
 
 namespace fs = std::filesystem;
-using core::SegmentRange;
 
 std::string temp_dir(const std::string& name) {
   const std::string dir = ::testing::TempDir() + "hvac_seg_" + name +
@@ -45,40 +45,6 @@ TEST(Segment, CountRoundsUp) {
   EXPECT_EQ(core::segment_count(1, 64), 1u);
   EXPECT_EQ(core::segment_count(0, 64), 1u);
   EXPECT_EQ(core::segment_count(100, 0), 1u);
-}
-
-TEST(Segment, ForEachSegmentCoversRangeExactly) {
-  std::vector<SegmentRange> ranges;
-  core::for_each_segment(100, 250, 128, [&](const SegmentRange& r) {
-    ranges.push_back(r);
-  });
-  // [100, 350) over 128-byte segments: seg 0 [100,128), seg 1
-  // [128,256), seg 2 [256,350).
-  ASSERT_EQ(ranges.size(), 3u);
-  EXPECT_EQ(ranges[0].index, 0u);
-  EXPECT_EQ(ranges[0].skip, 100u);
-  EXPECT_EQ(ranges[0].length, 28u);
-  EXPECT_EQ(ranges[1].index, 1u);
-  EXPECT_EQ(ranges[1].skip, 0u);
-  EXPECT_EQ(ranges[1].length, 128u);
-  EXPECT_EQ(ranges[2].index, 2u);
-  EXPECT_EQ(ranges[2].length, 94u);
-  uint64_t total = 0;
-  for (const auto& r : ranges) total += r.length;
-  EXPECT_EQ(total, 250u);
-}
-
-TEST(Segment, ForEachSegmentEmptyAndAligned) {
-  int calls = 0;
-  core::for_each_segment(64, 0, 64, [&](const SegmentRange&) { ++calls; });
-  EXPECT_EQ(calls, 0);
-  std::vector<SegmentRange> ranges;
-  core::for_each_segment(128, 128, 64, [&](const SegmentRange& r) {
-    ranges.push_back(r);
-  });
-  ASSERT_EQ(ranges.size(), 2u);
-  EXPECT_EQ(ranges[0].index, 2u);
-  EXPECT_EQ(ranges[0].skip, 0u);
 }
 
 TEST(Segment, SegmentsOfOneFileSpreadAcrossServers) {
@@ -136,7 +102,7 @@ TEST(SegmentCache, PreadSegmentReturnsCorrectBytes) {
   uint8_t buf[200];
   // Read 200 bytes at offset 100 of segment 2 (file offset 2148).
   const auto n =
-      fx.cache->pread_segment("big.bin", 2, kSeg, buf, sizeof(buf), 100);
+      fx.cache->pread_through("big.bin", buf, sizeof(buf), 100, 2, kSeg);
   ASSERT_TRUE(n.ok());
   EXPECT_EQ(*n, 200u);
   EXPECT_TRUE(std::equal(buf, buf + 200,
@@ -149,7 +115,7 @@ TEST(SegmentCache, FinalShortSegmentClamped) {
   // Segment 2 holds only [2048, 2500).
   uint8_t buf[1024];
   const auto n =
-      fx.cache->pread_segment("big.bin", 2, kSeg, buf, sizeof(buf), 0);
+      fx.cache->pread_through("big.bin", buf, sizeof(buf), 0, 2, kSeg);
   ASSERT_TRUE(n.ok());
   EXPECT_EQ(*n, 452u);
   // Past-EOF segment is an error.
@@ -166,7 +132,7 @@ TEST(SegmentCache, SingleCopyPerSegmentUnderConcurrency) {
       uint8_t buf[64];
       // Everyone hammers segment 5.
       const auto n =
-          fx.cache->pread_segment("big.bin", 5, kSeg, buf, sizeof(buf), 0);
+          fx.cache->pread_through("big.bin", buf, sizeof(buf), 0, 5, kSeg);
       if (n.ok() && *n == 64) ++ok;
     });
   }
@@ -183,7 +149,7 @@ TEST(SegmentCache, SegmentsEvictIndependently) {
   uint8_t buf[8];
   for (uint64_t seg = 0; seg < 4; ++seg) {
     ASSERT_TRUE(
-        fx.cache->pread_segment("big.bin", seg, kSeg, buf, 8, 0).ok());
+        fx.cache->pread_through("big.bin", buf, 8, 0, seg, kSeg).ok());
   }
   EXPECT_GT(fx.cache->metrics().evictions, 0u);
   EXPECT_LE(fx.cache->store().bytes_used(), 2 * 1024 + 512);
@@ -191,63 +157,124 @@ TEST(SegmentCache, SegmentsEvictIndependently) {
 
 // ---- end-to-end through servers -------------------------------------------------
 
-TEST(SegmentSystem, SegmentedReadsMatchWholeFile) {
-  const std::string pfs_root = temp_dir("sys_pfs");
-  // One 300 KB file — big enough to split into many 32 KB segments.
+// One 300 KB file — big enough to split into many 32 KB segments —
+// served by `servers` single-instance nodes.
+struct SegAllocation {
+  static constexpr uint64_t kSegBytes = 32 * 1024;
   const std::string rel = "class_0000/huge.bin";
-  const auto expected = workload::expected_contents(rel, 300 * 1024);
-  ASSERT_TRUE(storage::write_file(pfs_root + "/" + rel, expected.data(),
-                                  expected.size())
-                  .ok());
-
+  std::string pfs_root;
+  std::vector<uint8_t> expected;
   std::vector<std::unique_ptr<server::NodeRuntime>> nodes;
   client::HvacClientOptions copts;
-  copts.dataset_dir = pfs_root;
-  copts.segment_bytes = 32 * 1024;
-  for (int n = 0; n < 3; ++n) {
-    server::NodeRuntimeOptions o;
-    o.pfs_root = pfs_root;
-    o.cache_root = temp_dir("sys_cache" + std::to_string(n));
-    o.instances = 1;
-    nodes.push_back(std::make_unique<server::NodeRuntime>(o));
-    ASSERT_TRUE(nodes.back()->start().ok());
-    copts.server_endpoints.push_back(nodes.back()->endpoints()[0]);
+
+  SegAllocation(const std::string& name, int servers) {
+    pfs_root = temp_dir(name + "_pfs");
+    expected = workload::expected_contents(rel, 300 * 1024);
+    EXPECT_TRUE(storage::write_file(pfs_root + "/" + rel, expected.data(),
+                                    expected.size())
+                    .ok());
+    copts.dataset_dir = pfs_root;
+    copts.segment_bytes = kSegBytes;
+    for (int n = 0; n < servers; ++n) {
+      server::NodeRuntimeOptions o;
+      o.pfs_root = pfs_root;
+      o.cache_root = temp_dir(name + "_cache" + std::to_string(n));
+      o.instances = 1;
+      nodes.push_back(std::make_unique<server::NodeRuntime>(o));
+      EXPECT_TRUE(nodes.back()->start().ok());
+      copts.server_endpoints.push_back(nodes.back()->endpoints()[0]);
+    }
   }
-  client::HvacClient client(copts);
+  ~SegAllocation() {
+    for (auto& node : nodes) node->stop();
+  }
 
-  auto vfd = client.open(pfs_root + "/" + rel);
-  ASSERT_TRUE(vfd.ok());
+  std::string abs() const { return pfs_root + "/" + rel; }
+};
 
-  // Sequential whole-file read crosses many segment boundaries.
+// Sequential whole-file read in deliberately unaligned 10 KB calls, so
+// reads cross segment boundaries mid-call.
+Result<std::vector<uint8_t>> read_whole(client::HvacClient& client,
+                                        const std::string& path) {
+  HVAC_ASSIGN_OR_RETURN(int vfd, client.open(path));
   std::vector<uint8_t> data;
-  std::vector<uint8_t> buf(10'000);  // deliberately unaligned chunks
+  std::vector<uint8_t> buf(10'000);
   for (;;) {
-    const auto n = client.read(*vfd, buf.data(), buf.size());
-    ASSERT_TRUE(n.ok()) << n.error().to_string();
-    if (*n == 0) break;
-    data.insert(data.end(), buf.begin(), buf.begin() + *n);
+    HVAC_ASSIGN_OR_RETURN(size_t n, client.read(vfd, buf.data(), buf.size()));
+    if (n == 0) break;
+    data.insert(data.end(), buf.begin(), buf.begin() + n);
   }
-  EXPECT_EQ(data, expected);
+  HVAC_RETURN_IF_ERROR(client.close(vfd));
+  return data;
+}
+
+TEST(SegmentSystem, SegmentedReadsMatchWholeFile) {
+  SegAllocation alloc("sys", 3);
+  client::HvacClient client(alloc.copts);
+
+  auto data = read_whole(client, alloc.abs());
+  ASSERT_TRUE(data.ok()) << data.error().to_string();
+  EXPECT_EQ(*data, alloc.expected);
 
   // Random pread inside one segment.
+  auto vfd = client.open(alloc.abs());
+  ASSERT_TRUE(vfd.ok());
+  std::vector<uint8_t> buf(500);
   const auto n = client.pread(*vfd, buf.data(), 500, 123'456);
   ASSERT_TRUE(n.ok());
   EXPECT_EQ(*n, 500u);
-  EXPECT_TRUE(std::equal(buf.begin(), buf.begin() + 500,
-                         expected.begin() + 123'456));
+  EXPECT_TRUE(std::equal(buf.begin(), buf.end(),
+                         alloc.expected.begin() + 123'456));
   ASSERT_TRUE(client.close(*vfd).ok());
 
   // The segments really spread across the three nodes' stores.
   int nodes_with_segments = 0;
   size_t total_entries = 0;
-  for (auto& node : nodes) {
+  for (auto& node : alloc.nodes) {
     const size_t entries = node->instance(0).cache().store().entry_count();
     total_entries += entries;
     if (entries > 0) ++nodes_with_segments;
   }
-  EXPECT_EQ(total_entries, core::segment_count(expected.size(), 32 * 1024));
+  EXPECT_EQ(total_entries,
+            core::segment_count(alloc.expected.size(), alloc.kSegBytes));
   EXPECT_GE(nodes_with_segments, 2);
-  for (auto& node : nodes) node->stop();
+}
+
+TEST(SegmentSystem, DeadSegmentHomeFailsOver) {
+  SegAllocation alloc("dead", 2);
+  // Stop the home of segment 0 before the read: its segments must come
+  // back through recovery (re-open, then the PFS), byte-exact.
+  const uint32_t dead = core::Placement(2).home(
+      core::segment_key(alloc.rel, 0));
+  alloc.nodes[dead]->stop();
+  alloc.copts.rpc.connect_timeout_ms = 300;
+  client::HvacClient client(alloc.copts);
+
+  auto data = read_whole(client, alloc.abs());
+  ASSERT_TRUE(data.ok()) << data.error().to_string();
+  EXPECT_EQ(*data, alloc.expected);
+  EXPECT_GE(client.stats().failovers, 1u);
+}
+
+TEST(SegmentSystem, StoreReadFaultFallsBackToPfs) {
+  SegAllocation alloc("store_fault", 2);
+  client::HvacClient client(alloc.copts);
+  // Every local-store open fails: segments still fetch into the store,
+  // but serving them must degrade to the PFS instead of failing.
+  ASSERT_TRUE(fault::configure("store_read:error").ok());
+  struct ResetFaults {
+    ~ResetFaults() { fault::reset(); }
+  } reset_faults;
+
+  auto data = read_whole(client, alloc.abs());
+  ASSERT_TRUE(data.ok()) << data.error().to_string();
+  EXPECT_EQ(*data, alloc.expected);
+  EXPECT_GT(fault::stats(fault::Site::kStoreRead).errors, 0u);
+  uint64_t fallbacks = 0;
+  for (auto& node : alloc.nodes) {
+    fallbacks += node->instance(0).metrics().pfs_fallbacks;
+  }
+  EXPECT_GT(fallbacks, 0u);
 }
 
 TEST(SegmentSystem, SmallFilesBypassSegmentation) {

@@ -66,14 +66,28 @@ class ServerEdge : public ::testing::Test {
 
 TEST_F(ServerEdge, EmptyPayloadsRejectedCleanly) {
   for (uint16_t opcode : {proto::kOpen, proto::kRead, proto::kClose,
-                          proto::kStat, proto::kPrefetch,
-                          proto::kReadSegment}) {
+                          proto::kStat, proto::kReadScatter,
+                          proto::kPrefetchBatch}) {
     const auto resp = client_->call(opcode, Bytes{});
     ASSERT_FALSE(resp.ok()) << "opcode " << opcode;
     EXPECT_EQ(resp.error().code, ErrorCode::kProtocol)
         << "opcode " << opcode;
   }
   // The server is still healthy afterwards.
+  EXPECT_TRUE(client_->call(proto::kPing, Bytes{}).ok());
+}
+
+TEST_F(ServerEdge, RetiredOpcodesAreUnimplemented) {
+  // 6 (single-path prefetch) and 8 (segment read) are retired: a stale
+  // client gets a clean kUnimplemented, never a handler.
+  for (uint16_t opcode : {uint16_t{6}, uint16_t{8}}) {
+    WireWriter w;
+    w.put_string(tree_.relative_paths[0]);
+    const auto resp = client_->call(opcode, w.bytes());
+    ASSERT_FALSE(resp.ok()) << "opcode " << opcode;
+    EXPECT_EQ(resp.error().code, ErrorCode::kUnimplemented)
+        << "opcode " << opcode;
+  }
   EXPECT_TRUE(client_->call(proto::kPing, Bytes{}).ok());
 }
 
@@ -125,50 +139,73 @@ TEST_F(ServerEdge, OpenMissingFilePropagatesNotFound) {
   EXPECT_EQ(resp.error().code, ErrorCode::kNotFound);
 }
 
+// kReadScatter mode 2: one extent of segment `seg_index`.
+Bytes segment_request(const std::string& path, uint64_t seg_index,
+                      uint64_t segment_bytes, uint64_t offset,
+                      uint32_t count) {
+  WireWriter w;
+  w.put_u8(proto::kSourceSegment);
+  w.put_string(path);
+  w.put_u64(seg_index);
+  w.put_u64(segment_bytes);
+  w.put_u32(1);
+  w.put_u64(offset);
+  w.put_u32(count);
+  return std::move(w).take();
+}
+
 TEST_F(ServerEdge, SegmentReadValidation) {
+  const std::string& path = tree_.relative_paths[0];
   // segment_bytes == 0 is invalid.
   {
-    WireWriter w;
-    w.put_string(tree_.relative_paths[0]);
-    w.put_u64(0);
-    w.put_u64(0);
-    w.put_u64(0);
-    w.put_u32(16);
-    const auto resp = client_->call(proto::kReadSegment, w.bytes());
+    const auto resp =
+        client_->call(proto::kReadScatter, segment_request(path, 0, 0, 0, 16));
     ASSERT_FALSE(resp.ok());
     EXPECT_EQ(resp.error().code, ErrorCode::kInvalidArgument);
   }
-  // Segment entirely past EOF is invalid.
+  // Segment entirely past EOF is invalid (far past a 2 KB file at 1 KB
+  // segments).
   {
-    WireWriter w;
-    w.put_string(tree_.relative_paths[0]);
-    w.put_u64(100);  // far past a 2 KB file at 1 KB segments
-    w.put_u64(1024);
-    w.put_u64(0);
-    w.put_u32(16);
-    const auto resp = client_->call(proto::kReadSegment, w.bytes());
+    const auto resp = client_->call(proto::kReadScatter,
+                                    segment_request(path, 100, 1024, 0, 16));
     ASSERT_FALSE(resp.ok());
+    EXPECT_EQ(resp.error().code, ErrorCode::kInvalidArgument);
   }
-  // Valid segment read works.
+  // A request cut short after the segment index is a protocol error.
   {
     WireWriter w;
-    w.put_string(tree_.relative_paths[0]);
+    w.put_u8(proto::kSourceSegment);
+    w.put_string(path);
     w.put_u64(1);
-    w.put_u64(1024);
-    w.put_u64(0);
-    w.put_u32(1024);
-    const auto resp = client_->call(proto::kReadSegment, w.bytes());
-    ASSERT_TRUE(resp.ok()) << resp.error().to_string();
-    WireReader r(*resp);
-    const auto blob = r.get_blob();
-    ASSERT_TRUE(blob.ok());
-    const auto expected = workload::expected_contents(
-        tree_.relative_paths[0], tree_.sizes[0]);
-    ASSERT_EQ(blob->size(),
-              std::min<uint64_t>(1024, tree_.sizes[0] - 1024));
-    EXPECT_TRUE(std::equal(blob->begin(), blob->end(),
-                           expected.begin() + 1024));
+    const auto resp = client_->call(proto::kReadScatter, w.bytes());
+    ASSERT_FALSE(resp.ok());
+    EXPECT_EQ(resp.error().code, ErrorCode::kProtocol);
   }
+  // An extent above the read-chunk cap is rejected.
+  {
+    const auto resp = client_->call(
+        proto::kReadScatter,
+        segment_request(path, 1, 1024, 0, proto::kMaxReadChunk + 1));
+    ASSERT_FALSE(resp.ok());
+    EXPECT_EQ(resp.error().code, ErrorCode::kInvalidArgument);
+  }
+  // Valid segment read works, and an extent asking past the segment
+  // end is clamped to it.
+  {
+    const auto resp = client_->call(proto::kReadScatter,
+                                    segment_request(path, 1, 1024, 0, 4096));
+    ASSERT_TRUE(resp.ok()) << resp.error().to_string();
+    const auto view = rpc::decode_scatter(resp->data(), resp->size());
+    ASSERT_TRUE(view.ok());
+    ASSERT_EQ(view->extents.size(), 1u);
+    const auto& ext = view->extents[0];
+    EXPECT_EQ(ext.offset, 0u);
+    const auto expected = workload::expected_contents(path, tree_.sizes[0]);
+    ASSERT_EQ(ext.length, std::min<uint64_t>(1024, tree_.sizes[0] - 1024));
+    EXPECT_TRUE(
+        std::equal(ext.data, ext.data + ext.length, expected.begin() + 1024));
+  }
+  EXPECT_TRUE(client_->call(proto::kPing, Bytes{}).ok());
 }
 
 TEST_F(ServerEdge, MetricsPayloadShape) {
