@@ -4,15 +4,20 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <filesystem>
+#include <string>
+#include <vector>
 
 #include "client/hvac_client.h"
 #include "core/metrics.h"
 #include "core/metrics_frame.h"
+#include "core/timeseries.h"
 #include "rpc/rpc_client.h"
 #include "rpc/wire.h"
 #include "server/hvac_proto.h"
 #include "server/node_runtime.h"
+#include "server/prom_exporter.h"
 #include "workload/file_tree.h"
 
 namespace hvac {
@@ -358,6 +363,620 @@ TEST(MetricsFrame, JsonSpellsOutEverySection) {
         "\"stall\"", "\"pfs_wait_s\"", "\"retry_s\""}) {
     EXPECT_NE(json.find(key), std::string::npos) << key << " in " << json;
   }
+}
+
+// ---- golden outputs: every view of one fully populated frame -------------
+//
+// Every field holds a distinct non-zero value, so a word that moves,
+// drops out or swaps with a neighbour changes the pinned output. The
+// constants below are the frame-v2 wire format and the JSON and
+// OpenMetrics surfaces as operators and dashboards see them: a change
+// here is a protocol or dashboard change, never a refactor.
+
+MetricsFrame golden_frame() {
+  MetricsFrame f;
+  f.cache.hits = 1001;
+  f.cache.misses = 1002;
+  f.cache.dedup_waits = 1003;
+  f.cache.evictions = 1004;
+  f.cache.bytes_from_cache = 1005;
+  f.cache.bytes_from_pfs = 1006;
+  f.cache.pfs_fallbacks = 1007;
+  f.open_fds = 1008;
+  f.handle_cache = {2001, 2002, 2003, 2004, 2005, 2006};
+  f.buffer_pool = {3001, 3002, 3003, 3004, 3005};
+  f.readahead = {4001, 4002, 4003};
+  f.resilience = {5001, 5002, 5003, 5004, 5005, 5006,
+                  5007, 5008, 5009, 5010, 5011};
+  f.zerocopy = {6001, 6002, 6003, 6004, 6005, 6006};
+  f.meta_cache = {7001, 7002, 7003, 7004};
+  f.trace = {8001, 8002, 8003, 8004, 8005};
+  f.reactor.reactors = {{9001, 9002, 9003, 9004, 9005},
+                        {9011, 9012, 9013, 9014, 9015}};
+  f.write_back = {10001, 10002, 10003, 10004, 10005, 10006, 10007,
+                  10008, 10009, 10010, 10011, 10012, 10013, 10014,
+                  10015, 10016, 10017, 10018, 10019};
+  f.prefetch = {11001, 11002, 11003, 11004, 11005,
+                11006, 11007, 11008, 11009, {}};
+  f.prefetch.paced_delay.count = 3;
+  f.prefetch.paced_delay.total_ns = 7000;
+  f.prefetch.paced_delay.buckets[11] = 2;
+  f.prefetch.paced_delay.buckets[12] = 1;
+  f.stall.epochs = {{1, 100, 5'000'000, 1'000'000, 2'000'000, 1'500'000,
+                     400'000, 100'000},
+                    {2, 60, 3'000'000, 900'000, 1'100'000, 600'000,
+                     300'000, 100'000}};
+  LatencySnapshot read;
+  read.count = 5;
+  read.total_ns = 9000;
+  read.buckets[10] = 3;
+  read.buckets[13] = 2;
+  f.op_latency[proto::kRead] = read;
+  LatencySnapshot open;
+  open.count = 2;
+  open.total_ns = 4000;
+  open.buckets[11] = 2;
+  f.op_latency[proto::kOpen] = open;
+  return f;
+}
+
+// The previous sample for the delta golden: some words below the
+// current frame, some above it (a restarted peer), one reactor row
+// fewer, and kOpen absent.
+MetricsFrame golden_prev() {
+  MetricsFrame f;
+  f.cache = {1, 2000, 3, 4, 5, 6000, 7};
+  f.open_fds = 8;
+  f.handle_cache = {21, 22, 23, 24, 20000, 26};
+  f.buffer_pool = {31, 32, 33, 30000, 35};
+  f.readahead = {41, 42, 40000};
+  f.resilience = {51, 52, 53, 54, 55, 56, 57, 58, 59, 50000, 61};
+  f.zerocopy = {61, 62, 63, 64, 65, 60000};
+  f.meta_cache = {71, 72, 73, 70000};
+  f.trace = {81, 82, 83, 84, 85};
+  f.reactor.reactors = {{91, 92, 93, 94, 90000}};
+  f.write_back = {101, 102, 103, 104, 105, 106, 107, 108, 109, 110,
+                  111, 112, 100000, 114, 115, 116, 117, 118, 119};
+  f.prefetch = {111, 112, 113, 114, 115, 116, 117, 118, 119, {}};
+  f.prefetch.paced_delay.count = 1;
+  f.prefetch.paced_delay.total_ns = 2000;
+  f.prefetch.paced_delay.buckets[11] = 1;
+  f.stall.epochs = {{1, 10, 500'000, 100'000, 200'000, 150'000, 40'000,
+                     10'000}};
+  LatencySnapshot read;
+  read.count = 1;
+  read.total_ns = 1000;
+  read.buckets[10] = 1;
+  f.op_latency[proto::kRead] = read;
+  return f;
+}
+
+std::string to_hex(const Bytes& bytes) {
+  static const char kDigits[] = "0123456789abcdef";
+  std::string out;
+  for (uint8_t b : bytes) {
+    out += kDigits[b >> 4];
+    out += kDigits[b & 0xf];
+  }
+  return out;
+}
+
+std::vector<std::string> sorted_lines(const std::string& text) {
+  std::vector<std::string> lines;
+  size_t start = 0;
+  while (start < text.size()) {
+    size_t end = text.find('\n', start);
+    if (end == std::string::npos) end = text.size();
+    lines.push_back(text.substr(start, end - start));
+    start = end + 1;
+  }
+  std::sort(lines.begin(), lines.end());
+  return lines;
+}
+
+const char* const kGoldenFrameHex =
+    "e903000000000000ea03000000000000eb03000000000000ec03000000000000"
+    "ed03000000000000ee03000000000000ef03000000000000f003000000000000"
+    "48564d3202000c00010030000000d107000000000000d207000000000000d307"
+    "000000000000d407000000000000d507000000000000d6070000000000000200"
+    "28000000b90b000000000000ba0b000000000000bb0b000000000000bc0b0000"
+    "00000000bd0b000000000000030018000000a10f000000000000a20f00000000"
+    "0000a30f0000000000000400aa020000020002000200000000000000a00f0000"
+    "0000000028000000000000000000000000000000000000000000000000000000"
+    "0000000000000000000000000000000000000000000000000000000000000000"
+    "0000000000000000000000000000000000000000000000000000000000000200"
+    "0000000000000000000000000000000000000000000000000000000000000000"
+    "0000000000000000000000000000000000000000000000000000000000000000"
+    "0000000000000000000000000000000000000000000000000000000000000000"
+    "0000000000000000000000000000000000000000000000000000000000000000"
+    "0000000000000000000000000000000000000000000000000000000000000000"
+    "0000000000000000000000000000000000000000000000000000000000000000"
+    "0000000000000000000000000000000000000000000000000000000000000000"
+    "0000000000000300050000000000000028230000000000002800000000000000"
+    "0000000000000000000000000000000000000000000000000000000000000000"
+    "0000000000000000000000000000000000000000000000000000000000000000"
+    "0000000000000000000003000000000000000000000000000000000000000000"
+    "0000020000000000000000000000000000000000000000000000000000000000"
+    "0000000000000000000000000000000000000000000000000000000000000000"
+    "0000000000000000000000000000000000000000000000000000000000000000"
+    "0000000000000000000000000000000000000000000000000000000000000000"
+    "0000000000000000000000000000000000000000000000000000000000000000"
+    "0000000000000000000000000000000000000000000000000000000000000000"
+    "0000000000000000000000000000000000000000000000000000050058000000"
+    "89130000000000008a130000000000008b130000000000008c13000000000000"
+    "8d130000000000008e130000000000008f130000000000009013000000000000"
+    "9113000000000000921300000000000093130000000000000600300000007117"
+    "0000000000007217000000000000731700000000000074170000000000007517"
+    "0000000000007617000000000000070020000000591b0000000000005a1b0000"
+    "000000005b1b0000000000005c1b000000000000080028000000411f00000000"
+    "0000421f000000000000431f000000000000441f000000000000451f00000000"
+    "00000900540000000200050029230000000000002a230000000000002b230000"
+    "000000002c230000000000002d23000000000000332300000000000034230000"
+    "000000003523000000000000362300000000000037230000000000000a009800"
+    "0000112700000000000012270000000000001327000000000000142700000000"
+    "0000152700000000000016270000000000001727000000000000182700000000"
+    "000019270000000000001a270000000000001b270000000000001c2700000000"
+    "00001d270000000000001e270000000000001f27000000000000202700000000"
+    "00002127000000000000222700000000000023270000000000000b009a010000"
+    "f92a000000000000fa2a000000000000fb2a000000000000fc2a000000000000"
+    "fd2a000000000000fe2a000000000000ff2a000000000000002b000000000000"
+    "012b0000000000000300000000000000581b0000000000002800000000000000"
+    "0000000000000000000000000000000000000000000000000000000000000000"
+    "0000000000000000000000000000000000000000000000000000000000000000"
+    "0000000000000000000000000000000000000200000000000000010000000000"
+    "0000000000000000000000000000000000000000000000000000000000000000"
+    "0000000000000000000000000000000000000000000000000000000000000000"
+    "0000000000000000000000000000000000000000000000000000000000000000"
+    "0000000000000000000000000000000000000000000000000000000000000000"
+    "0000000000000000000000000000000000000000000000000000000000000000"
+    "0000000000000000000000000000000000000000000000000000000000000000"
+    "00000000000000000000000000000000000000000000000000000c0084000000"
+    "0200080001000000000000006400000000000000404b4c000000000040420f00"
+    "0000000080841e000000000060e3160000000000801a060000000000a0860100"
+    "0000000002000000000000003c00000000000000c0c62d0000000000a0bb0d00"
+    "00000000e0c8100000000000c027090000000000e093040000000000a0860100"
+    "00000000";
+
+const char* const kGoldenJson =
+    R"json({"version":2,"cache":{"hits":1001,"misses":1002,"hit_rate":0.49975,"dedup_waits":1003,"evictions":1004,"bytes_from_cache":1005,"bytes_from_pfs":1006,"pfs_fallbacks":1007},)json"
+    R"json("open_fds":1008,"handle_cache":{"hits":2001,"misses":2002,"open":2003,"pinned":2004,"deferred_closes":2005,"capacity":2006},)json"
+    R"json("buffer_pool":{"leases":3001,"pool_hits":3002,"fallback_allocs":3003,"recycled":3004,"dropped":3005},)json"
+    R"json("read_ahead":{"issued":4001,"consumed":4002,"wasted":4003},)json"
+    R"json("resilience":{"breaker_opens":5001,"breaker_closes":5002,"breaker_probes":5003,"breaker_shed":5004,"retries":5005,"deadline_misses":5006,"server_shed":5007,"mover_rejects":5008,"drains":5009,"drained_requests":5010,"faults_injected":5011},)json"
+    R"json("zero_copy":{"sendfile_sends":6001,"splice_sends":6002,"fallback_sends":6003,"sendfile_bytes":6004,"splice_bytes":6005,"short_resumes":6006},)json"
+    R"json("meta_cache":{"hits":7001,"misses":7002,"expired":7003,"invalidated":7004},)json"
+    R"json("trace":{"emitted":8001,"dropped":8002,"rings":8003,"ring_capacity":8004,"occupancy":8005},)json"
+    R"json("reactors":[{"conns":9001,"requests":9002,"steals":9003,"shed":9004,"steal_backoffs":9005},{"conns":9011,"requests":9012,"steals":9013,"shed":9014,"steal_backoffs":9015}],)json"
+    R"json("write_back":{"writes":10001,"bytes_written":10002,"fsyncs":10003,"dirty_bytes":10004,"dirty_files":10005,"journal_records":10006,"journal_bytes":10007,"flushed_files":10008,"flush_retries":10009,"flush_failures":10010,"flush_queue_depth":10011,"flush_inflight":10012,"flush_lag_ms":10013,"write_through_sheds":10014,"write_through_bytes":10015,"replay_writes":10016,"replay_bytes":10017,"replay_truncated_bytes":10018,"replay_dirty_files":10019},)json"
+    R"json("prefetch":{"planned":11001,"issued":11002,"completed":11003,"shed":11004,"late":11005,"hit_after_prefetch":11006,"deduped":11007,"dedup_inflight":11008,"paced_delay_us":{"count":3,"mean":2.333,"p50":3.072,"p99":3.072}},)json"
+    R"json("stall":[{"epoch":1,"reads":100,"stall_s":0.005000,"local_hit_s":0.001000,"remote_rpc_s":0.002000,"pfs_wait_s":0.001500,"backpressure_s":0.000400,"retry_s":0.000100},{"epoch":2,"reads":60,"stall_s":0.003000,"local_hit_s":0.000900,"remote_rpc_s":0.001100,"pfs_wait_s":0.000600,"backpressure_s":0.000300,"retry_s":0.000100}],)json"
+    R"json("latency_us":{"open":{"count":2,"mean":2.000,"p50":2.048,"p99":2.048},)json"
+    R"json("read":{"count":5,"mean":1.800,"p50":1.707,"p99":8.192}}})json";
+
+const char* const kGoldenDeltaHex =
+    "e8030000000000000000000000000000e803000000000000e803000000000000"
+    "e8030000000000000000000000000000e803000000000000f003000000000000"
+    "48564d3202000c00010030000000bc07000000000000bc07000000000000d307"
+    "000000000000d4070000000000000000000000000000d6070000000000000200"
+    "280000009a0b0000000000009a0b0000000000009a0b00000000000000000000"
+    "000000009a0b000000000000030018000000780f000000000000780f00000000"
+    "000000000000000000000400aa020000020002000200000000000000a00f0000"
+    "0000000028000000000000000000000000000000000000000000000000000000"
+    "0000000000000000000000000000000000000000000000000000000000000000"
+    "0000000000000000000000000000000000000000000000000000000000000200"
+    "0000000000000000000000000000000000000000000000000000000000000000"
+    "0000000000000000000000000000000000000000000000000000000000000000"
+    "0000000000000000000000000000000000000000000000000000000000000000"
+    "0000000000000000000000000000000000000000000000000000000000000000"
+    "0000000000000000000000000000000000000000000000000000000000000000"
+    "0000000000000000000000000000000000000000000000000000000000000000"
+    "0000000000000000000000000000000000000000000000000000000000000000"
+    "00000000000003000400000000000000401f0000000000002800000000000000"
+    "0000000000000000000000000000000000000000000000000000000000000000"
+    "0000000000000000000000000000000000000000000000000000000000000000"
+    "0000000000000000000002000000000000000000000000000000000000000000"
+    "0000020000000000000000000000000000000000000000000000000000000000"
+    "0000000000000000000000000000000000000000000000000000000000000000"
+    "0000000000000000000000000000000000000000000000000000000000000000"
+    "0000000000000000000000000000000000000000000000000000000000000000"
+    "0000000000000000000000000000000000000000000000000000000000000000"
+    "0000000000000000000000000000000000000000000000000000000000000000"
+    "0000000000000000000000000000000000000000000000000000050058000000"
+    "5613000000000000561300000000000056130000000000005613000000000000"
+    "5613000000000000561300000000000056130000000000005613000000000000"
+    "5613000000000000000000000000000056130000000000000600300000003417"
+    "0000000000003417000000000000341700000000000034170000000000003417"
+    "0000000000000000000000000000070020000000121b000000000000121b0000"
+    "00000000121b0000000000000000000000000000080028000000f01e00000000"
+    "0000f01e000000000000431f000000000000441f000000000000451f00000000"
+    "000009005400000002000500ce22000000000000ce22000000000000ce220000"
+    "00000000ce220000000000000000000000000000332300000000000034230000"
+    "000000003523000000000000362300000000000037230000000000000a009800"
+    "0000ac26000000000000ac26000000000000ac26000000000000142700000000"
+    "0000152700000000000016270000000000001727000000000000ac2600000000"
+    "0000ac26000000000000ac260000000000001b270000000000001c2700000000"
+    "00001d27000000000000ac26000000000000ac26000000000000202700000000"
+    "00002127000000000000222700000000000023270000000000000b009a010000"
+    "8a2a0000000000008a2a0000000000008a2a0000000000008a2a000000000000"
+    "8a2a0000000000008a2a0000000000008a2a000000000000002b000000000000"
+    "012b000000000000020000000000000088130000000000002800000000000000"
+    "0000000000000000000000000000000000000000000000000000000000000000"
+    "0000000000000000000000000000000000000000000000000000000000000000"
+    "0000000000000000000000000000000000000100000000000000010000000000"
+    "0000000000000000000000000000000000000000000000000000000000000000"
+    "0000000000000000000000000000000000000000000000000000000000000000"
+    "0000000000000000000000000000000000000000000000000000000000000000"
+    "0000000000000000000000000000000000000000000000000000000000000000"
+    "0000000000000000000000000000000000000000000000000000000000000000"
+    "0000000000000000000000000000000000000000000000000000000000000000"
+    "00000000000000000000000000000000000000000000000000000c0084000000"
+    "0200080001000000000000006400000000000000404b4c000000000040420f00"
+    "0000000080841e000000000060e3160000000000801a060000000000a0860100"
+    "0000000002000000000000003c00000000000000c0c62d0000000000a0bb0d00"
+    "00000000e0c8100000000000c027090000000000e093040000000000a0860100"
+    "00000000";
+
+// Sorted; compared as a multiset of lines, since family order is not
+// part of the OpenMetrics contract.
+const char* const kGoldenOpenMetrics = R"om(# EOF
+# HELP hvac_buffer_pool_dropped Leases freed (list full)
+# HELP hvac_buffer_pool_fallback_allocs Leases that hit the allocator
+# HELP hvac_buffer_pool_hits Leases served from a free list
+# HELP hvac_buffer_pool_leases Buffer-pool acquires
+# HELP hvac_buffer_pool_recycled Leases returned to a free list
+# HELP hvac_cache_bytes_from_cache Bytes served from the node-local cache
+# HELP hvac_cache_bytes_from_pfs Bytes read from the PFS
+# HELP hvac_cache_dedup_waits First-reads coalesced onto an in-flight copy
+# HELP hvac_cache_evictions Cache evictions
+# HELP hvac_cache_hits Reads served from the node-local cache
+# HELP hvac_cache_misses Reads that required a PFS fetch
+# HELP hvac_cache_pfs_fallbacks Requests served directly from the PFS
+# HELP hvac_handle_cache_capacity Handle-cache slots
+# HELP hvac_handle_cache_deferred_closes Handles evicted while pinned
+# HELP hvac_handle_cache_hits Open-handle cache hits
+# HELP hvac_handle_cache_misses Open-handle cache misses
+# HELP hvac_handle_cache_open Handle-cache resident entries
+# HELP hvac_handle_cache_pinned Handle-cache pinned entries
+# HELP hvac_meta_cache_expired Metadata entries aged out
+# HELP hvac_meta_cache_hits Client metadata-cache hits
+# HELP hvac_meta_cache_invalidated Metadata entries dropped on failure
+# HELP hvac_meta_cache_misses Client metadata-cache misses
+# HELP hvac_op_latency_seconds Per-op handler latency
+# HELP hvac_open_fds Open remote file handles
+# HELP hvac_prefetch_completed Prefetches answered cached
+# HELP hvac_prefetch_dedup_inflight Paths with a fetch in flight
+# HELP hvac_prefetch_deduped Mover fetches coalesced onto an in-flight one
+# HELP hvac_prefetch_hit_after Samples found warmed by their prefetch
+# HELP hvac_prefetch_issued Samples sent in prefetch batches
+# HELP hvac_prefetch_late Samples the cursor beat the prefetch to
+# HELP hvac_prefetch_planned Samples accepted into access plans
+# HELP hvac_prefetch_shed Prefetches shed by mover backpressure
+# HELP hvac_reactor_conns Connections accepted
+# HELP hvac_reactor_requests Requests dispatched
+# HELP hvac_reactor_shed Requests shed by backpressure
+# HELP hvac_reactor_steal_backoffs Steal scans skipped by the throttle
+# HELP hvac_reactor_steals Requests stolen from another reactor
+# HELP hvac_readahead_consumed Reads served from a pending chunk
+# HELP hvac_readahead_issued Chunks requested ahead of the application
+# HELP hvac_readahead_wasted Pending chunks discarded unread
+# HELP hvac_resilience_breaker_closes Circuit-breaker closes
+# HELP hvac_resilience_breaker_opens Circuit-breaker opens
+# HELP hvac_resilience_breaker_probes Half-open probes
+# HELP hvac_resilience_breaker_shed Calls shed by an open breaker
+# HELP hvac_resilience_deadline_misses Per-call deadline misses
+# HELP hvac_resilience_drained_requests Requests completed during drain
+# HELP hvac_resilience_drains Graceful drains
+# HELP hvac_resilience_faults_injected HVAC_FAULT harness activations
+# HELP hvac_resilience_mover_rejects Fetches rejected by the mover queue
+# HELP hvac_resilience_retries Idempotent call retries
+# HELP hvac_resilience_server_shed Requests shed by server backpressure
+# HELP hvac_stall_reads Intercepted reads attributed
+# HELP hvac_stall_seconds Intercepted-read wall time by stall bucket
+# HELP hvac_trace_dropped Trace spans dropped (ring full)
+# HELP hvac_trace_emitted Trace spans emitted
+# HELP hvac_trace_occupancy Trace ring occupancy
+# HELP hvac_trace_ring_capacity Trace ring capacity
+# HELP hvac_trace_rings Per-thread trace rings
+# HELP hvac_write_back_bytes_written Bytes written back
+# HELP hvac_write_back_dirty_bytes Unflushed write-back bytes
+# HELP hvac_write_back_dirty_files Unflushed write-back files
+# HELP hvac_write_back_flush_failures Flush failures
+# HELP hvac_write_back_flush_inflight Flushes in flight
+# HELP hvac_write_back_flush_lag_ms Age of the oldest unflushed file (ms)
+# HELP hvac_write_back_flush_queue_depth Flush queue depth
+# HELP hvac_write_back_flush_retries Flush retries
+# HELP hvac_write_back_flushed_files Files flushed to the PFS
+# HELP hvac_write_back_fsyncs Durability barriers honored
+# HELP hvac_write_back_journal_bytes Journal depth in bytes
+# HELP hvac_write_back_journal_records Journal depth in records
+# HELP hvac_write_back_write_through_bytes Bytes written through to the PFS
+# HELP hvac_write_back_write_through_sheds Handles shed to write-through
+# HELP hvac_write_back_writes kWrite ops acked
+# HELP hvac_zerocopy_fallback_sends Extents staged through the pool
+# HELP hvac_zerocopy_sendfile_bytes Bytes sent via sendfile
+# HELP hvac_zerocopy_sendfile_sends sendfile response sends
+# HELP hvac_zerocopy_short_resumes Partial kernel sends resumed in place
+# HELP hvac_zerocopy_splice_bytes Bytes sent via splice
+# HELP hvac_zerocopy_splice_sends splice response sends
+# TYPE hvac_buffer_pool_dropped counter
+# TYPE hvac_buffer_pool_fallback_allocs counter
+# TYPE hvac_buffer_pool_hits counter
+# TYPE hvac_buffer_pool_leases counter
+# TYPE hvac_buffer_pool_recycled counter
+# TYPE hvac_cache_bytes_from_cache counter
+# TYPE hvac_cache_bytes_from_pfs counter
+# TYPE hvac_cache_dedup_waits counter
+# TYPE hvac_cache_evictions counter
+# TYPE hvac_cache_hits counter
+# TYPE hvac_cache_misses counter
+# TYPE hvac_cache_pfs_fallbacks counter
+# TYPE hvac_handle_cache_capacity gauge
+# TYPE hvac_handle_cache_deferred_closes counter
+# TYPE hvac_handle_cache_hits counter
+# TYPE hvac_handle_cache_misses counter
+# TYPE hvac_handle_cache_open gauge
+# TYPE hvac_handle_cache_pinned gauge
+# TYPE hvac_meta_cache_expired counter
+# TYPE hvac_meta_cache_hits counter
+# TYPE hvac_meta_cache_invalidated counter
+# TYPE hvac_meta_cache_misses counter
+# TYPE hvac_op_latency_seconds histogram
+# TYPE hvac_open_fds gauge
+# TYPE hvac_prefetch_completed counter
+# TYPE hvac_prefetch_dedup_inflight gauge
+# TYPE hvac_prefetch_deduped counter
+# TYPE hvac_prefetch_hit_after counter
+# TYPE hvac_prefetch_issued counter
+# TYPE hvac_prefetch_late counter
+# TYPE hvac_prefetch_planned counter
+# TYPE hvac_prefetch_shed counter
+# TYPE hvac_reactor_conns counter
+# TYPE hvac_reactor_requests counter
+# TYPE hvac_reactor_shed counter
+# TYPE hvac_reactor_steal_backoffs counter
+# TYPE hvac_reactor_steals counter
+# TYPE hvac_readahead_consumed counter
+# TYPE hvac_readahead_issued counter
+# TYPE hvac_readahead_wasted counter
+# TYPE hvac_resilience_breaker_closes counter
+# TYPE hvac_resilience_breaker_opens counter
+# TYPE hvac_resilience_breaker_probes counter
+# TYPE hvac_resilience_breaker_shed counter
+# TYPE hvac_resilience_deadline_misses counter
+# TYPE hvac_resilience_drained_requests counter
+# TYPE hvac_resilience_drains counter
+# TYPE hvac_resilience_faults_injected counter
+# TYPE hvac_resilience_mover_rejects counter
+# TYPE hvac_resilience_retries counter
+# TYPE hvac_resilience_server_shed counter
+# TYPE hvac_stall_reads counter
+# TYPE hvac_stall_seconds counter
+# TYPE hvac_trace_dropped counter
+# TYPE hvac_trace_emitted counter
+# TYPE hvac_trace_occupancy gauge
+# TYPE hvac_trace_ring_capacity gauge
+# TYPE hvac_trace_rings gauge
+# TYPE hvac_write_back_bytes_written counter
+# TYPE hvac_write_back_dirty_bytes gauge
+# TYPE hvac_write_back_dirty_files gauge
+# TYPE hvac_write_back_flush_failures counter
+# TYPE hvac_write_back_flush_inflight gauge
+# TYPE hvac_write_back_flush_lag_ms gauge
+# TYPE hvac_write_back_flush_queue_depth gauge
+# TYPE hvac_write_back_flush_retries counter
+# TYPE hvac_write_back_flushed_files counter
+# TYPE hvac_write_back_fsyncs counter
+# TYPE hvac_write_back_journal_bytes gauge
+# TYPE hvac_write_back_journal_records gauge
+# TYPE hvac_write_back_write_through_bytes counter
+# TYPE hvac_write_back_write_through_sheds counter
+# TYPE hvac_write_back_writes counter
+# TYPE hvac_zerocopy_fallback_sends counter
+# TYPE hvac_zerocopy_sendfile_bytes counter
+# TYPE hvac_zerocopy_sendfile_sends counter
+# TYPE hvac_zerocopy_short_resumes counter
+# TYPE hvac_zerocopy_splice_bytes counter
+# TYPE hvac_zerocopy_splice_sends counter
+hvac_buffer_pool_dropped_total 3005
+hvac_buffer_pool_fallback_allocs_total 3003
+hvac_buffer_pool_hits_total 3002
+hvac_buffer_pool_leases_total 3001
+hvac_buffer_pool_recycled_total 3004
+hvac_cache_bytes_from_cache_total 1005
+hvac_cache_bytes_from_pfs_total 1006
+hvac_cache_dedup_waits_total 1003
+hvac_cache_evictions_total 1004
+hvac_cache_hits_total 1001
+hvac_cache_misses_total 1002
+hvac_cache_pfs_fallbacks_total 1007
+hvac_handle_cache_capacity 2006
+hvac_handle_cache_deferred_closes_total 2005
+hvac_handle_cache_hits_total 2001
+hvac_handle_cache_misses_total 2002
+hvac_handle_cache_open 2003
+hvac_handle_cache_pinned 2004
+hvac_meta_cache_expired_total 7003
+hvac_meta_cache_hits_total 7001
+hvac_meta_cache_invalidated_total 7004
+hvac_meta_cache_misses_total 7002
+hvac_op_latency_seconds_bucket{op="open",le="+Inf"} 2
+hvac_op_latency_seconds_bucket{op="open",le="0.000131072"} 2
+hvac_op_latency_seconds_bucket{op="open",le="0.000262144"} 2
+hvac_op_latency_seconds_bucket{op="open",le="0.000524288"} 2
+hvac_op_latency_seconds_bucket{op="open",le="0.001048576"} 2
+hvac_op_latency_seconds_bucket{op="open",le="0.002097152"} 2
+hvac_op_latency_seconds_bucket{op="open",le="0.004194304"} 2
+hvac_op_latency_seconds_bucket{op="open",le="0.008388608"} 2
+hvac_op_latency_seconds_bucket{op="open",le="0.016777216"} 2
+hvac_op_latency_seconds_bucket{op="open",le="0.033554432"} 2
+hvac_op_latency_seconds_bucket{op="open",le="0.067108864"} 2
+hvac_op_latency_seconds_bucket{op="open",le="0.134217728"} 2
+hvac_op_latency_seconds_bucket{op="open",le="0.268435456"} 2
+hvac_op_latency_seconds_bucket{op="open",le="0.536870912"} 2
+hvac_op_latency_seconds_bucket{op="open",le="1.024e-06"} 0
+hvac_op_latency_seconds_bucket{op="open",le="1.07374182"} 2
+hvac_op_latency_seconds_bucket{op="open",le="1.28e-07"} 0
+hvac_op_latency_seconds_bucket{op="open",le="1.6384e-05"} 2
+hvac_op_latency_seconds_bucket{op="open",le="1.6e-08"} 0
+hvac_op_latency_seconds_bucket{op="open",le="137.438953"} 2
+hvac_op_latency_seconds_bucket{op="open",le="17.1798692"} 2
+hvac_op_latency_seconds_bucket{op="open",le="2.048e-06"} 0
+hvac_op_latency_seconds_bucket{op="open",le="2.14748365"} 2
+hvac_op_latency_seconds_bucket{op="open",le="2.56e-07"} 0
+hvac_op_latency_seconds_bucket{op="open",le="274.877907"} 2
+hvac_op_latency_seconds_bucket{op="open",le="2e-09"} 0
+hvac_op_latency_seconds_bucket{op="open",le="3.2768e-05"} 2
+hvac_op_latency_seconds_bucket{op="open",le="3.2e-08"} 0
+hvac_op_latency_seconds_bucket{op="open",le="34.3597384"} 2
+hvac_op_latency_seconds_bucket{op="open",le="4.096e-06"} 2
+hvac_op_latency_seconds_bucket{op="open",le="4.2949673"} 2
+hvac_op_latency_seconds_bucket{op="open",le="4e-09"} 0
+hvac_op_latency_seconds_bucket{op="open",le="5.12e-07"} 0
+hvac_op_latency_seconds_bucket{op="open",le="549.755814"} 2
+hvac_op_latency_seconds_bucket{op="open",le="6.4e-08"} 0
+hvac_op_latency_seconds_bucket{op="open",le="6.5536e-05"} 2
+hvac_op_latency_seconds_bucket{op="open",le="68.7194767"} 2
+hvac_op_latency_seconds_bucket{op="open",le="8.192e-06"} 2
+hvac_op_latency_seconds_bucket{op="open",le="8.58993459"} 2
+hvac_op_latency_seconds_bucket{op="open",le="8e-09"} 0
+hvac_op_latency_seconds_bucket{op="read",le="+Inf"} 5
+hvac_op_latency_seconds_bucket{op="read",le="0.000131072"} 5
+hvac_op_latency_seconds_bucket{op="read",le="0.000262144"} 5
+hvac_op_latency_seconds_bucket{op="read",le="0.000524288"} 5
+hvac_op_latency_seconds_bucket{op="read",le="0.001048576"} 5
+hvac_op_latency_seconds_bucket{op="read",le="0.002097152"} 5
+hvac_op_latency_seconds_bucket{op="read",le="0.004194304"} 5
+hvac_op_latency_seconds_bucket{op="read",le="0.008388608"} 5
+hvac_op_latency_seconds_bucket{op="read",le="0.016777216"} 5
+hvac_op_latency_seconds_bucket{op="read",le="0.033554432"} 5
+hvac_op_latency_seconds_bucket{op="read",le="0.067108864"} 5
+hvac_op_latency_seconds_bucket{op="read",le="0.134217728"} 5
+hvac_op_latency_seconds_bucket{op="read",le="0.268435456"} 5
+hvac_op_latency_seconds_bucket{op="read",le="0.536870912"} 5
+hvac_op_latency_seconds_bucket{op="read",le="1.024e-06"} 0
+hvac_op_latency_seconds_bucket{op="read",le="1.07374182"} 5
+hvac_op_latency_seconds_bucket{op="read",le="1.28e-07"} 0
+hvac_op_latency_seconds_bucket{op="read",le="1.6384e-05"} 5
+hvac_op_latency_seconds_bucket{op="read",le="1.6e-08"} 0
+hvac_op_latency_seconds_bucket{op="read",le="137.438953"} 5
+hvac_op_latency_seconds_bucket{op="read",le="17.1798692"} 5
+hvac_op_latency_seconds_bucket{op="read",le="2.048e-06"} 3
+hvac_op_latency_seconds_bucket{op="read",le="2.14748365"} 5
+hvac_op_latency_seconds_bucket{op="read",le="2.56e-07"} 0
+hvac_op_latency_seconds_bucket{op="read",le="274.877907"} 5
+hvac_op_latency_seconds_bucket{op="read",le="2e-09"} 0
+hvac_op_latency_seconds_bucket{op="read",le="3.2768e-05"} 5
+hvac_op_latency_seconds_bucket{op="read",le="3.2e-08"} 0
+hvac_op_latency_seconds_bucket{op="read",le="34.3597384"} 5
+hvac_op_latency_seconds_bucket{op="read",le="4.096e-06"} 3
+hvac_op_latency_seconds_bucket{op="read",le="4.2949673"} 5
+hvac_op_latency_seconds_bucket{op="read",le="4e-09"} 0
+hvac_op_latency_seconds_bucket{op="read",le="5.12e-07"} 0
+hvac_op_latency_seconds_bucket{op="read",le="549.755814"} 5
+hvac_op_latency_seconds_bucket{op="read",le="6.4e-08"} 0
+hvac_op_latency_seconds_bucket{op="read",le="6.5536e-05"} 5
+hvac_op_latency_seconds_bucket{op="read",le="68.7194767"} 5
+hvac_op_latency_seconds_bucket{op="read",le="8.192e-06"} 3
+hvac_op_latency_seconds_bucket{op="read",le="8.58993459"} 5
+hvac_op_latency_seconds_bucket{op="read",le="8e-09"} 0
+hvac_op_latency_seconds_count{op="open"} 2
+hvac_op_latency_seconds_count{op="read"} 5
+hvac_op_latency_seconds_sum{op="open"} 4e-06
+hvac_op_latency_seconds_sum{op="read"} 9e-06
+hvac_open_fds 1008
+hvac_prefetch_completed_total 11003
+hvac_prefetch_dedup_inflight 11008
+hvac_prefetch_deduped_total 11007
+hvac_prefetch_hit_after_total 11006
+hvac_prefetch_issued_total 11002
+hvac_prefetch_late_total 11005
+hvac_prefetch_planned_total 11001
+hvac_prefetch_shed_total 11004
+hvac_reactor_conns_total{reactor="0"} 9001
+hvac_reactor_conns_total{reactor="1"} 9011
+hvac_reactor_requests_total{reactor="0"} 9002
+hvac_reactor_requests_total{reactor="1"} 9012
+hvac_reactor_shed_total{reactor="0"} 9004
+hvac_reactor_shed_total{reactor="1"} 9014
+hvac_reactor_steal_backoffs_total{reactor="0"} 9005
+hvac_reactor_steal_backoffs_total{reactor="1"} 9015
+hvac_reactor_steals_total{reactor="0"} 9003
+hvac_reactor_steals_total{reactor="1"} 9013
+hvac_readahead_consumed_total 4002
+hvac_readahead_issued_total 4001
+hvac_readahead_wasted_total 4003
+hvac_resilience_breaker_closes_total 5002
+hvac_resilience_breaker_opens_total 5001
+hvac_resilience_breaker_probes_total 5003
+hvac_resilience_breaker_shed_total 5004
+hvac_resilience_deadline_misses_total 5006
+hvac_resilience_drained_requests_total 5010
+hvac_resilience_drains_total 5009
+hvac_resilience_faults_injected_total 5011
+hvac_resilience_mover_rejects_total 5008
+hvac_resilience_retries_total 5005
+hvac_resilience_server_shed_total 5007
+hvac_stall_reads_total 160
+hvac_stall_seconds_total{bucket="backpressure"} 0.0007
+hvac_stall_seconds_total{bucket="local_hit"} 0.0019
+hvac_stall_seconds_total{bucket="pfs_wait"} 0.0021
+hvac_stall_seconds_total{bucket="remote_rpc"} 0.0031
+hvac_stall_seconds_total{bucket="retry"} 0.0002
+hvac_trace_dropped_total 8002
+hvac_trace_emitted_total 8001
+hvac_trace_occupancy 8005
+hvac_trace_ring_capacity 8004
+hvac_trace_rings 8003
+hvac_write_back_bytes_written_total 10002
+hvac_write_back_dirty_bytes 10004
+hvac_write_back_dirty_files 10005
+hvac_write_back_flush_failures_total 10010
+hvac_write_back_flush_inflight 10012
+hvac_write_back_flush_lag_ms 10013
+hvac_write_back_flush_queue_depth 10011
+hvac_write_back_flush_retries_total 10009
+hvac_write_back_flushed_files_total 10008
+hvac_write_back_fsyncs_total 10003
+hvac_write_back_journal_bytes 10007
+hvac_write_back_journal_records 10006
+hvac_write_back_write_through_bytes_total 10015
+hvac_write_back_write_through_sheds_total 10014
+hvac_write_back_writes_total 10001
+hvac_zerocopy_fallback_sends_total 6003
+hvac_zerocopy_sendfile_bytes_total 6004
+hvac_zerocopy_sendfile_sends_total 6001
+hvac_zerocopy_short_resumes_total 6006
+hvac_zerocopy_splice_bytes_total 6005
+hvac_zerocopy_splice_sends_total 6002
+)om";
+
+TEST(MetricsFrameGolden, EncodeBytes) {
+  EXPECT_EQ(to_hex(golden_frame().encode()), kGoldenFrameHex);
+}
+
+TEST(MetricsFrameGolden, DecodeReencodesSameBytes) {
+  const auto decoded = MetricsFrame::decode(golden_frame().encode());
+  ASSERT_TRUE(decoded.ok()) << decoded.error().to_string();
+  EXPECT_EQ(to_hex(decoded->encode()), kGoldenFrameHex);
+}
+
+TEST(MetricsFrameGolden, Json) {
+  EXPECT_EQ(golden_frame().to_json(), kGoldenJson);
+}
+
+TEST(MetricsFrameGolden, OpenMetricsLineMultiset) {
+  const std::string body = server::render_openmetrics(golden_frame());
+  EXPECT_EQ(sorted_lines(body), sorted_lines(kGoldenOpenMetrics));
+  size_t families = 0;
+  for (const std::string& line : sorted_lines(body)) {
+    if (line.rfind("# TYPE ", 0) == 0) ++families;
+  }
+  EXPECT_EQ(families, 79u);
+}
+
+TEST(MetricsFrameGolden, DeltaBytes) {
+  const MetricsFrame d = core::frame_delta(golden_frame(), golden_prev());
+  EXPECT_EQ(to_hex(d.encode()), kGoldenDeltaHex);
 }
 
 // ---- end to end: live instances -> aggregated frame -----------------------
