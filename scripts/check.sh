@@ -339,6 +339,10 @@ case "$MODE" in
     cmake --build build-asan -j "$JOBS" \
       --target test_write_journal test_daemon hvacd hvacctl
     ./build-asan/tests/test_write_journal
+    # The write-back/checkpoint-reset race, repeated: a close-time
+    # commit landing after the reset must leave the journal empty.
+    ./build-asan/tests/test_write_journal --gtest_filter='WriteShed.*' \
+      --gtest_repeat=20
     ./build-asan/tests/test_daemon --gtest_filter='WriteCrash.*'
     # Shim-level smoke on the regular build: intercept_target --copy
     # writes a checkpoint with plain POSIX calls through LD_PRELOAD

@@ -1067,11 +1067,20 @@ Result<std::vector<uint8_t>> HvacClient::prefetch_batch_status(
                   std::move(sub)});
     }
   }
+  // The sub-batches are in flight together, so one call deadline bounds
+  // the wait for all of them.
+  const int budget_ms = options_.rpc.call_timeout_ms;
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::milliseconds(budget_ms);
   for (Pending& p : pending) {
+    // A dead server, an open breaker or a sub-batch still unanswered at
+    // the deadline reads as shed: retryable, never fatal (the demand
+    // path covers any sample the warm-up misses).
+    if (budget_ms > 0 &&
+        p.fut.wait_until(deadline) != std::future_status::ready) {
+      continue;
+    }
     Result<rpc::Bytes> resp = p.fut.get();
-    // A dead server or open breaker reads as shed for the sub-batch:
-    // retryable, never fatal (the demand path covers any sample the
-    // warm-up misses).
     if (!resp.ok()) continue;
     WireReader r(*resp);
     auto n = r.get_u32();

@@ -53,6 +53,7 @@
 #include "common/env.h"
 #include "common/hash.h"
 #include "core/metrics_frame.h"
+#include "core/metrics_schema.h"
 #include "core/timeseries.h"
 #include "core/trace_wire.h"
 #include "rpc/health.h"
@@ -163,53 +164,42 @@ int cmd_health(const std::string& csv, bool json) {
   return failures == 0 ? 0 : 1;
 }
 
+// One line of key=value pairs: every field with a JSON key.
+template <typename S>
+void print_fields(const char* label, std::span<const core::FieldLine<S>> fields,
+                  const S& s) {
+  std::printf("  %-13s", label);
+  for (const core::FieldLine<S>& f : fields) {
+    if (f.json != nullptr) std::printf(" %s=%" PRIu64, f.json, s.*f.member);
+  }
+  std::printf("\n");
+}
+
+template <typename S>
+void print_section(const core::SectionLine<S>& line,
+                   const core::MetricsFrame& f) {
+  print_fields(line.json != nullptr ? line.json : "", line.fields,
+               line.of(f));
+}
+
+template <typename R>
+void print_section(const core::RowsLine<R>& line,
+                   const core::MetricsFrame& f) {
+  const std::vector<R>& rows = line.of(f);
+  for (size_t i = 0; i < rows.size(); ++i) {
+    const std::string label = std::string(line.label) + " " +
+                              std::to_string(i);
+    print_fields(label.c_str(), line.fields, rows[i]);
+  }
+}
+
 void print_metrics_row(const std::string& endpoint,
                        const core::MetricsFrame& f) {
-  const auto& m = f.cache;
-  std::printf("%-24s %10lu %10lu %8lu %10lu %12lu %12lu %8lu %6lu\n",
-              endpoint.c_str(), (unsigned long)m.hits,
-              (unsigned long)m.misses, (unsigned long)m.dedup_waits,
-              (unsigned long)m.evictions, (unsigned long)m.bytes_from_cache,
-              (unsigned long)m.bytes_from_pfs, (unsigned long)m.pfs_fallbacks,
-              (unsigned long)f.open_fds);
-  if (f.version < 2) return;
-  std::printf("  handle_cache hits=%lu misses=%lu open=%lu pinned=%lu "
-              "deferred_closes=%lu\n",
-              (unsigned long)f.handle_cache.hits,
-              (unsigned long)f.handle_cache.misses,
-              (unsigned long)f.handle_cache.open,
-              (unsigned long)f.handle_cache.pinned,
-              (unsigned long)f.handle_cache.deferred_closes);
-  std::printf("  buffer_pool  leases=%lu pool_hits=%lu fallback_allocs=%lu\n",
-              (unsigned long)f.buffer_pool.leases,
-              (unsigned long)f.buffer_pool.pool_hits,
-              (unsigned long)f.buffer_pool.fallback_allocs);
-  std::printf("  read_ahead   issued=%lu consumed=%lu wasted=%lu\n",
-              (unsigned long)f.readahead.issued,
-              (unsigned long)f.readahead.consumed,
-              (unsigned long)f.readahead.wasted);
-  const auto& rs = f.resilience;
-  std::printf("  resilience   breaker(opens=%lu closes=%lu probes=%lu "
-              "shed=%lu) retries=%lu deadline_misses=%lu server_shed=%lu "
-              "mover_rejects=%lu drains=%lu drained=%lu faults=%lu\n",
-              (unsigned long)rs.breaker_opens,
-              (unsigned long)rs.breaker_closes,
-              (unsigned long)rs.breaker_probes,
-              (unsigned long)rs.breaker_shed, (unsigned long)rs.retries,
-              (unsigned long)rs.deadline_misses,
-              (unsigned long)rs.server_shed,
-              (unsigned long)rs.mover_rejects, (unsigned long)rs.drains,
-              (unsigned long)rs.drained_requests,
-              (unsigned long)rs.faults_injected);
-  // Present only on servers with the sharded-reactor core (section 9);
-  // an old binary's frame simply has no rows here.
-  for (size_t i = 0; i < f.reactor.reactors.size(); ++i) {
-    const auto& rr = f.reactor.reactors[i];
-    std::printf("  reactor %-4zu conns=%lu requests=%lu steals=%lu "
-                "shed=%lu\n",
-                i, (unsigned long)rr.conns, (unsigned long)rr.requests,
-                (unsigned long)rr.steals, (unsigned long)rr.shed);
-  }
+  std::printf("%s (frame v%u)\n", endpoint.c_str(), unsigned(f.version));
+  // A v1 frame carries only the prefix words (section id 0).
+  core::for_each_section([&](const auto& line) {
+    if (line.id == 0 || f.version >= 2) print_section(line, f);
+  });
   for (const auto& [op, snap] : f.op_latency) {
     std::printf("  latency %-12s n=%-8lu p50=%.1fus p99=%.1fus\n",
                 core::op_name(op).c_str(), (unsigned long)snap.count,
@@ -235,11 +225,6 @@ int metrics_once(const std::vector<std::string>& endpoints, bool json,
   core::MetricsFrame aggregate;
   bool first = true;
   std::string json_endpoints;
-  if (!json) {
-    std::printf("%-24s %10s %10s %8s %10s %12s %12s %8s %6s\n", "endpoint",
-                "hits", "misses", "dedup", "evictions", "cache_bytes",
-                "pfs_bytes", "fallbk", "fds");
-  }
   for (const auto& endpoint : endpoints) {
     rpc::RpcClient client(rpc::Endpoint{endpoint}, cli_options());
     const auto resp = client.call(proto::kMetrics, Bytes{});

@@ -21,6 +21,9 @@
 //   * unknown section ids are skipped by length; sections themselves
 //     may grow — decoders read the fields they know and ignore the
 //     tail, so adding a field is not a version bump.
+//
+// The flat sections' words, and how each merges, deltas and renders,
+// are listed once in core/metrics_schema.h.
 #pragma once
 
 #include <cstdint>
@@ -60,8 +63,6 @@ struct HandleCacheStats {
   uint64_t pinned = 0;  // entries with at least one active reader
   uint64_t deferred_closes = 0;  // evicted while pinned; fd closed late
   uint64_t capacity = 0;
-
-  void merge(const HandleCacheStats& other);
 };
 
 struct BufferPoolStats {
@@ -70,16 +71,12 @@ struct BufferPoolStats {
   uint64_t fallback_allocs = 0;  // had to hit the allocator
   uint64_t recycled = 0;         // leases returned to a free list
   uint64_t dropped = 0;          // leases freed (list full)
-
-  void merge(const BufferPoolStats& other);
 };
 
 struct ReadAheadStats {
   uint64_t issued = 0;    // chunks requested ahead of the application
   uint64_t consumed = 0;  // reads served from a pending chunk
   uint64_t wasted = 0;    // pending chunks discarded unread
-
-  void merge(const ReadAheadStats& other);
 };
 
 // Fault-domain counters (rpc/health.h): breaker transitions, retries,
@@ -97,8 +94,6 @@ struct ResilienceStats {
   uint64_t drains = 0;
   uint64_t drained_requests = 0;
   uint64_t faults_injected = 0;  // HVAC_FAULT harness activity
-
-  void merge(const ResilienceStats& other);
 };
 
 // Kernel zero-copy send path (rpc/socket.h ZeroCopyCounters):
@@ -111,8 +106,6 @@ struct ZeroCopyStats {
   uint64_t sendfile_bytes = 0;
   uint64_t splice_bytes = 0;
   uint64_t short_resumes = 0;  // partial kernel sends resumed in-place
-
-  void merge(const ZeroCopyStats& other);
 };
 
 // Client metadata cache (client/meta_cache.h). Process-wide, like the
@@ -122,8 +115,6 @@ struct MetaCacheStats {
   uint64_t misses = 0;
   uint64_t expired = 0;
   uint64_t invalidated = 0;
-
-  void merge(const MetaCacheStats& other);
 };
 
 // Checkpoint write path (server/hvac_server.cc write handlers,
@@ -150,8 +141,6 @@ struct WriteBackStats {
   uint64_t replay_bytes = 0;
   uint64_t replay_truncated_bytes = 0;  // torn/CRC-bad tail cut
   uint64_t replay_dirty_files = 0;      // re-queued to the flusher
-
-  void merge(const WriteBackStats& other);
 };
 
 // Clairvoyant prefetch pipeline (client/prefetch_scheduler.h) plus the
@@ -173,8 +162,6 @@ struct PrefetchStats {
   uint64_t dedup_inflight = 0;  // gauge: paths with a fetch in flight
   uint64_t reserved = 0;        // room to grow without re-shaping
   LatencySnapshot paced_delay;  // token-bucket stall per issued batch
-
-  void merge(const PrefetchStats& other);
 };
 
 // Per-epoch I/O stall attribution from the client read path
@@ -201,8 +188,6 @@ struct TraceStats {
   uint64_t rings = 0;
   uint64_t ring_capacity = 0;
   uint64_t occupancy = 0;
-
-  void merge(const TraceStats& other);
 };
 
 // Per-reactor server counters (rpc/rpc_server.h). Body layout:
@@ -220,10 +205,6 @@ struct ReactorStats {
     uint64_t steal_backoffs = 0;
   };
   std::vector<PerReactor> reactors;
-
-  // Element-wise by reactor index (instances in one process report
-  // their own reactor sets; index i of each merges into index i).
-  void merge(const ReactorStats& other);
 };
 
 struct MetricsFrame {
@@ -251,7 +232,8 @@ struct MetricsFrame {
   rpc::Bytes encode() const;
   static Result<MetricsFrame> decode(const rpc::Bytes& bytes);
 
-  // Sums every section of `other` into this frame. Per-process
+  // Folds `other` into this frame: each word as its field kind says
+  // (counters and gauges sum, maxima keep the larger). Per-process
   // sections (buffer pool, read-ahead) double-count when the merged
   // frames come from instances sharing one process — NodeRuntime
   // handles that case by assigning them once.

@@ -60,10 +60,11 @@ struct TimeSeriesFrame {
   static Result<TimeSeriesFrame> decode(const rpc::Bytes& bytes);
 };
 
-// `cur - prev`, field-wise: counters and histogram buckets subtract
+// `cur - prev`, field-wise as each field's kind says
+// (core/metrics_schema.h): counters and histogram buckets subtract
 // (clamped at zero so a restarted peer never yields negative rates),
-// gauges (occupancy-style fields) carry cur's point value. The stall
-// section is per-epoch cumulative and carries over as-is.
+// gauges and maxima carry cur's point value. The stall section is
+// per-epoch cumulative and carries over as-is.
 MetricsFrame frame_delta(const MetricsFrame& cur, const MetricsFrame& prev);
 
 // Fixed-capacity sample history. push() overwrites the oldest sample

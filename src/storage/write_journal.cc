@@ -121,6 +121,7 @@ Status WriteJournal::append_record(JournalRecordType type,
   end_ += n;
   ++seq_;
   ++records_;
+  uncommitted_ = true;
   return Status::Ok();
 }
 
@@ -154,9 +155,17 @@ Status WriteJournal::append_truncate(const std::string& logical_path) {
 
 Status WriteJournal::commit() {
   std::lock_guard<std::mutex> lock(mutex_);
+  // Nothing appended since the last barrier: nothing to make durable.
+  // (A commit racing a checkpoint reset would otherwise leave a lone
+  // marker in the emptied log.)
+  if (!uncommitted_) return Status::Ok();
+  // A failure below leaves the records uncommitted, so the next commit
+  // retries the barrier.
   HVAC_RETURN_IF_ERROR(append_record(JournalRecordType::kCommit, {}));
   HVAC_RETURN_IF_ERROR(fault::check(fault::Site::kJournalFsync));
-  return file_.datasync();
+  HVAC_RETURN_IF_ERROR(file_.datasync());
+  uncommitted_ = false;
+  return Status::Ok();
 }
 
 Result<JournalReplayStats> WriteJournal::replay(const ApplyFn& apply,
@@ -260,6 +269,7 @@ Result<JournalReplayStats> WriteJournal::replay(const ApplyFn& apply,
   seq_ = max_seq;
   records_ = stats.writes_applied + stats.commits_seen +
              stats.flushes_seen + stats.truncates_seen;
+  uncommitted_ = false;
   stats.dirty_paths.assign(dirty.begin(), dirty.end());
   return stats;
 }
@@ -270,6 +280,7 @@ Status WriteJournal::checkpoint_reset() {
   HVAC_RETURN_IF_ERROR(file_.datasync());
   end_ = 0;
   records_ = 0;
+  uncommitted_ = false;
   return Status::Ok();
 }
 

@@ -76,8 +76,9 @@ class WriteJournal {
 
   // The durability barrier: appends a kCommit marker and fdatasyncs
   // the journal. When this returns Ok, every record appended before
-  // it survives kill -9. Fault sites: journal_append (the marker),
-  // journal_fsync (the sync).
+  // it survives kill -9. A no-op when no record was appended since the
+  // last commit, checkpoint_reset() or replay(). Fault sites:
+  // journal_append (the marker), journal_fsync (the sync).
   Status commit();
 
   // Re-applies the log through `apply` (called for each kWrite record;
@@ -116,6 +117,7 @@ class WriteJournal {
   uint64_t end_ = 0;        // append position
   uint64_t seq_ = 0;        // next record sequence number
   uint64_t records_ = 0;
+  bool uncommitted_ = false;  // records appended since the last barrier
 };
 
 }  // namespace hvac::storage

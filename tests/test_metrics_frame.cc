@@ -12,6 +12,7 @@
 #include "client/hvac_client.h"
 #include "core/metrics.h"
 #include "core/metrics_frame.h"
+#include "core/metrics_schema.h"
 #include "core/timeseries.h"
 #include "rpc/rpc_client.h"
 #include "rpc/wire.h"
@@ -977,6 +978,96 @@ TEST(MetricsFrameGolden, OpenMetricsLineMultiset) {
 TEST(MetricsFrameGolden, DeltaBytes) {
   const MetricsFrame d = core::frame_delta(golden_frame(), golden_prev());
   EXPECT_EQ(to_hex(d.encode()), kGoldenDeltaHex);
+}
+
+// ---- schema property: every field line behaves as its kind says ----------
+//
+// Walks the field tables, so a field line added later is covered here
+// with no new test code.
+
+// The field's word in `f`: row 0 for the reactor rows, created if absent.
+template <typename S>
+uint64_t& word(const core::SectionLine<S>& line,
+               const core::FieldLine<S>& field, MetricsFrame& f) {
+  return line.of(f).*field.member;
+}
+
+template <typename R>
+uint64_t& word(const core::RowsLine<R>& line, const core::FieldLine<R>& field,
+               MetricsFrame& f) {
+  auto& rows = line.of(f);
+  if (rows.empty()) rows.resize(1);
+  return rows[0].*field.member;
+}
+
+template <typename S>
+std::string row_labels(const core::SectionLine<S>&) {
+  return "";
+}
+
+template <typename R>
+std::string row_labels(const core::RowsLine<R>& line) {
+  return std::string("{") + line.label + "=\"0\"}";
+}
+
+TEST(MetricsSchema, EveryFieldLineBehavesAsItsKindSays) {
+  constexpr uint64_t kValue = 987654321;
+  size_t checked = 0;
+  std::vector<std::string> families;
+  core::for_each_section([&](const auto& line) {
+    for (const auto& field : line.fields) {
+      ++checked;
+      SCOPED_TRACE(std::string(line.json ? line.json : "frame") + "." +
+                   (field.json ? field.json : "(no json key)"));
+      auto frame_with = [&](uint64_t v) {
+        MetricsFrame f;
+        word(line, field, f) = v;
+        return f;
+      };
+
+      auto decoded = MetricsFrame::decode(frame_with(kValue).encode());
+      ASSERT_TRUE(decoded.ok()) << decoded.error().to_string();
+      EXPECT_EQ(word(line, field, *decoded), kValue);
+
+      MetricsFrame up = frame_with(7);
+      up.merge(frame_with(5));
+      MetricsFrame down = frame_with(5);
+      down.merge(frame_with(7));
+      const uint64_t merged = field.kind == core::kMax ? 7 : 12;
+      EXPECT_EQ(word(line, field, up), merged);
+      EXPECT_EQ(word(line, field, down), merged);
+
+      const bool counter = field.kind == core::kCounter;
+      MetricsFrame rise = core::frame_delta(frame_with(7), frame_with(5));
+      MetricsFrame fall = core::frame_delta(frame_with(5), frame_with(7));
+      EXPECT_EQ(word(line, field, rise), counter ? 2u : 7u);
+      EXPECT_EQ(word(line, field, fall), counter ? 0u : 5u);
+
+      const MetricsFrame f = frame_with(kValue);
+      if (field.json != nullptr) {
+        const std::string member =
+            "\"" + std::string(field.json) + "\":" + std::to_string(kValue);
+        EXPECT_NE(f.to_json().find(member), std::string::npos) << member;
+      }
+      if (field.family != nullptr) {
+        families.push_back(field.family);
+        const std::string body = server::render_openmetrics(f);
+        const std::string type = std::string("# TYPE ") + field.family +
+                                 (counter ? " counter\n" : " gauge\n");
+        const std::string sample = std::string(field.family) +
+                                   (counter ? "_total" : "") +
+                                   row_labels(line) + " " +
+                                   std::to_string(kValue) + "\n";
+        EXPECT_NE(body.find(type), std::string::npos) << type;
+        EXPECT_NE(body.find(sample), std::string::npos) << sample;
+      }
+    }
+  });
+  EXPECT_GT(checked, 0u);
+  std::sort(families.begin(), families.end());
+  EXPECT_EQ(std::adjacent_find(families.begin(), families.end()),
+            families.end())
+      << "two field lines export the same family";
 }
 
 // ---- end to end: live instances -> aggregated frame -----------------------

@@ -20,6 +20,8 @@
 #include "core/cache_manager.h"
 #include "core/data_mover.h"
 #include "core/eviction.h"
+#include "rpc/rpc_server.h"
+#include "rpc/wire.h"
 #include "server/hvac_server.h"
 #include "server/node_runtime.h"
 #include "storage/pfs_backend.h"
@@ -482,6 +484,43 @@ TEST(PrefetchSchedulerE2E, MoverBackpressureShedsPerPathAndRepaces) {
   const auto data = read_whole(client2, abs_paths[0]);
   ASSERT_TRUE(data.ok()) << data.error().message;
   server.stop();
+}
+
+TEST(PrefetchSchedulerE2E, StalledBatchWaitIsBoundedAndReadsAsShed) {
+  // A scripted server that sits on every kPrefetchBatch for 2 s. With a
+  // 200 ms call deadline the batch round returns well before the
+  // answer, every path shed (the caller re-paces; nothing hangs).
+  constexpr int kStallMs = 2000;
+  rpc::RpcServerOptions so;
+  so.reactors = 1;
+  rpc::RpcServer fake(so);
+  fake.register_handler(proto::kPrefetchBatch,
+                        [&](const rpc::Bytes& req) -> Result<rpc::Bytes> {
+    std::this_thread::sleep_for(std::chrono::milliseconds(kStallMs));
+    rpc::WireReader r(req);
+    HVAC_ASSIGN_OR_RETURN(const uint32_t n, r.get_u32());
+    rpc::WireWriter w;
+    w.put_u32(n);
+    for (uint32_t i = 0; i < n; ++i) w.put_u8(proto::kPrefetchCached);
+    return std::move(w).take();
+  });
+  ASSERT_TRUE(fake.start().ok());
+
+  HvacClientOptions copts;
+  copts.dataset_dir = temp_dir("stalled_batch");
+  copts.server_endpoints = {fake.endpoint().address};
+  copts.readahead_chunks = 0;
+  copts.rpc.call_timeout_ms = 200;
+  HvacClient client(copts);
+
+  const std::vector<std::string> paths = {"a.bin", "b.bin", "c.bin"};
+  const auto t0 = std::chrono::steady_clock::now();
+  const auto statuses = client.prefetch_batch_status(paths);
+  const auto waited = std::chrono::steady_clock::now() - t0;
+  ASSERT_TRUE(statuses.ok()) << statuses.error().message;
+  EXPECT_LT(waited, std::chrono::seconds(1));
+  ASSERT_EQ(statuses->size(), paths.size());
+  for (const uint8_t st : *statuses) EXPECT_EQ(st, proto::kPrefetchShed);
 }
 
 }  // namespace

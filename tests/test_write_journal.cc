@@ -102,6 +102,34 @@ TEST(WriteJournal, RoundTripAndDirtyTracking) {
   EXPECT_EQ(r.files["b"], bytes("world"));
 }
 
+TEST(WriteJournal, CommitAfterCheckpointResetLeavesLogEmpty) {
+  // A client's close-time commit can land just after the flusher's
+  // checkpoint reset; it must not leave a lone marker behind.
+  const std::string path = temp_dir("reset_commit") + "/j.wal";
+  auto j = WriteJournal::open(path);
+  ASSERT_TRUE(j.ok());
+  ASSERT_TRUE((*j)->append_write("a", 0, "data", 4).ok());
+  ASSERT_TRUE((*j)->commit().ok());
+  ASSERT_TRUE((*j)->checkpoint_reset().ok());
+  ASSERT_TRUE((*j)->commit().ok());
+  EXPECT_EQ((*j)->record_count(), 0u);
+  EXPECT_EQ((*j)->size_bytes(), 0u);
+}
+
+TEST(WriteJournal, CommitWithNothingAppendedAddsNoRecord) {
+  const std::string path = temp_dir("empty_commit") + "/j.wal";
+  auto j = WriteJournal::open(path);
+  ASSERT_TRUE(j.ok());
+  ASSERT_TRUE((*j)->append_write("a", 0, "data", 4).ok());
+  ASSERT_TRUE((*j)->commit().ok());
+  const uint64_t records = (*j)->record_count();
+  const uint64_t bytes = (*j)->size_bytes();
+  EXPECT_EQ(records, 2u);  // the write and its commit marker
+  ASSERT_TRUE((*j)->commit().ok());
+  EXPECT_EQ((*j)->record_count(), records);
+  EXPECT_EQ((*j)->size_bytes(), bytes);
+}
+
 TEST(WriteJournal, TornTailTruncatedWithoutError) {
   const std::string path = temp_dir("torn") + "/j.wal";
   uint64_t valid_end = 0;
