@@ -26,7 +26,9 @@ PrefetchScheduler::PrefetchScheduler(HvacClient* client,
         options_.bw_mbps * 1e6,
         double(options_.est_sample_bytes) * options_.batch_size);
   }
-  thread_ = std::thread([this] { run(); });
+  for (size_t i = 0; i < kMaxInflightBatches; ++i) {
+    threads_.emplace_back([this] { run(); });
+  }
 }
 
 PrefetchScheduler::~PrefetchScheduler() { stop(); }
@@ -39,7 +41,9 @@ void PrefetchScheduler::stop() {
   }
   cv_.notify_all();
   caught_up_cv_.notify_all();
-  if (thread_.joinable()) thread_.join();
+  for (auto& t : threads_) {
+    if (t.joinable()) t.join();
+  }
 }
 
 void PrefetchScheduler::set_plan(std::vector<std::string> logical_paths) {
@@ -109,7 +113,8 @@ size_t PrefetchScheduler::next_issuable_locked() const {
 void PrefetchScheduler::wait_caught_up() {
   std::unique_lock<std::mutex> lock(mutex_);
   caught_up_cv_.wait(lock, [&] {
-    return stop_ || (!issuing_ && next_issuable_locked() >= plan_.size());
+    return stop_ ||
+           (inflight_batches_ == 0 && next_issuable_locked() >= plan_.size());
   });
 }
 
@@ -158,7 +163,7 @@ void PrefetchScheduler::run() {
     }
     issue_pos_ = pos;
     if (batch_idx.empty()) continue;
-    issuing_ = true;
+    ++inflight_batches_;
     stats_.issued += batch_idx.size();
     core::PrefetchCounters& g = core::PrefetchCounters::global();
     g.issued.fetch_add(batch_idx.size(), std::memory_order_relaxed);
@@ -214,8 +219,9 @@ void PrefetchScheduler::run() {
         }
       }
     }
-    issuing_ = false;
+    --inflight_batches_;
     caught_up_cv_.notify_all();
+    if (had_shed) cv_.notify_all();  // the rewound entries are issuable
     if (had_shed && options_.shed_backoff_ms > 0 && !stop_) {
       // Re-pace: give the mover queue room to drain before retrying.
       lock.unlock();

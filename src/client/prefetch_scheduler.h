@@ -13,11 +13,14 @@
 //     slides the window.
 //   * Batches ride the existing kPrefetchBatch RPC over the client's
 //     multiplexed async channels; the server answers per-path
-//     cached / miss / SHED. Shed paths re-enter the issue frontier
-//     after a backoff (bounded per path), so mover backpressure
-//     re-paces the pipeline instead of dropping warm-up or flooding
-//     the bounded queue. An open circuit breaker reads as shed for
-//     the whole sub-batch (fail-fast, retry after the backoff).
+//     cached / miss / SHED. Up to kMaxInflightBatches batches are in
+//     flight at once, so the movers start on the next batch while the
+//     previous one's answer travels back instead of idling. Shed paths
+//     re-enter the issue frontier after a backoff (bounded per path),
+//     so mover backpressure re-paces the pipeline instead of dropping
+//     warm-up or flooding the bounded queue. An open circuit breaker
+//     reads as shed for the whole sub-batch (fail-fast, retry after
+//     the backoff).
 //   * A token bucket (HVAC_PREFETCH_BW_MBPS) meters issue rate so
 //     cold-epoch warm-up cannot starve foreground reads or stampede
 //     the PFS; every stall is recorded in the paced-delay histogram.
@@ -68,6 +71,10 @@ struct PrefetchSchedulerOptions {
 
 class PrefetchScheduler {
  public:
+  // Batches outstanding at once (one issue thread each). An access
+  // still counts warm only once its own batch has answered.
+  static constexpr size_t kMaxInflightBatches = 2;
+
   // `client` must outlive the scheduler (HvacClient owns it and stops
   // it before tearing down its channels).
   PrefetchScheduler(HvacClient* client, PrefetchSchedulerOptions options);
@@ -93,7 +100,7 @@ class PrefetchScheduler {
   // the client's open paths, where the size is already known.
   void observe_sample_bytes(uint64_t bytes);
 
-  // Stops the issue thread. Idempotent; called by ~PrefetchScheduler.
+  // Stops the issue threads. Idempotent; called by ~PrefetchScheduler.
   void stop();
 
   // Blocks until the issue frontier has caught up with the current
@@ -129,6 +136,8 @@ class PrefetchScheduler {
     uint8_t shed_count = 0;
   };
 
+  // One issue thread: takes the next batch of pending entries, waits
+  // for its answer, applies it, repeats.
   void run();
   // Next plan index the issue loop may pick up, honoring the window
   // bound; plan_.size() when nothing is issuable. Caller holds mutex_.
@@ -151,12 +160,12 @@ class PrefetchScheduler {
   size_t cursor_ = 0;     // first plan index the app has not accessed
   size_t issue_pos_ = 0;  // first plan index the issue loop has not
                           // inspected (rewinds to re-pace sheds)
-  bool issuing_ = false;  // a batch is in flight right now
+  size_t inflight_batches_ = 0;  // batches issued and not yet answered
   bool stop_ = false;
   uint64_t epoch_ = 0;    // bumped by set_plan; stale batches discard
 
   Stats stats_;
-  std::thread thread_;
+  std::vector<std::thread> threads_;
 };
 
 }  // namespace hvac::client

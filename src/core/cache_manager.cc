@@ -35,9 +35,8 @@ bool CacheManager::try_hit(const std::string& key) {
 }
 
 Result<bool> CacheManager::ensure_key_cached(
-    const std::string& key,
-    const std::function<Result<uint64_t>()>& sized,
-    const std::function<Result<uint64_t>(const std::string& dst)>& fetch) {
+    const std::string& key, const std::string& logical_path,
+    uint64_t offset, uint64_t max_len, storage::BatchContainer* container) {
   if (try_hit(key)) return true;
 
   // Serialize concurrent first-reads of the same key.
@@ -55,46 +54,73 @@ Result<bool> CacheManager::ensure_key_cached(
   }
 
   // We are the designated copier. Always clear the in-flight mark.
-  auto finish = [&](Result<bool> result) -> Result<bool> {
-    {
-      std::lock_guard<std::mutex> lock(inflight_mutex_);
-      inflight_.erase(key);
-    }
-    inflight_cv_.notify_all();
-    return result;
-  };
-
-  auto size = sized();
-  if (!size.ok()) return finish(size.error());
-
-  if (!make_room(*size)) {
-    HVAC_LOG_DEBUG("capacity fallback for " << key << " (" << *size
-                                            << " bytes)");
-    return finish(false);
+  Result<bool> result = fill(key, logical_path, offset, max_len, container);
+  {
+    std::lock_guard<std::mutex> lock(inflight_mutex_);
+    inflight_.erase(key);
   }
-
-  const std::string dst = store_->physical_path(key);
-  auto copied = fetch(dst);
-  if (!copied.ok()) {
-    (void)storage::remove_file(dst);
-    return finish(copied.error());
-  }
-  Status inserted = store_->insert(key, *copied);
-  if (!inserted.ok()) {
-    (void)storage::remove_file(dst);
-    return finish(false);
-  }
-  eviction_->on_insert(key);
-  metrics_.on_miss(*copied);
-  return finish(true);
+  inflight_cv_.notify_all();
+  return result;
 }
 
-Result<bool> CacheManager::ensure_cached(const std::string& logical_path) {
-  return ensure_key_cached(
-      logical_path, [&] { return pfs_->size_of(logical_path); },
-      [&](const std::string& dst) {
-        return pfs_->copy_out(logical_path, dst);
-      });
+Result<bool> CacheManager::fill(const std::string& key,
+                                const std::string& logical_path,
+                                uint64_t offset, uint64_t max_len,
+                                storage::BatchContainer* container) {
+  // One PFS metadata op per fetch: the open. fstat on that fd sizes
+  // the copy, and the bytes come from the same fd.
+  HVAC_ASSIGN_OR_RETURN(storage::PosixFile src, pfs_->open(logical_path));
+  HVAC_ASSIGN_OR_RETURN(uint64_t file_size, src.size());
+  const bool whole = max_len == UINT64_MAX;
+  if (!whole && offset >= file_size) {
+    return Error(ErrorCode::kInvalidArgument, "segment past EOF: " + key);
+  }
+  const uint64_t size =
+      whole ? file_size : std::min<uint64_t>(max_len, file_size - offset);
+  if (!make_room(size)) {
+    HVAC_LOG_DEBUG("capacity fallback for " << key << " (" << size
+                                            << " bytes)");
+    return false;
+  }
+
+  uint64_t copied = 0;
+  if (container != nullptr && whole &&
+      size <= storage::BatchContainer::kMaxSampleBytes) {
+    // Batch fill: append to the batch's container, no inode created.
+    HVAC_ASSIGN_OR_RETURN(std::shared_ptr<storage::ContainerSlot> slot,
+                          container->reserve(size));
+    HVAC_ASSIGN_OR_RETURN(copied, pfs_->copy_from(src, 0, size,
+                                                  container->file(),
+                                                  slot->base));
+    slot->length = copied;  // the source may have shrunk since fstat
+    if (!store_->insert(key, slot).ok()) return false;
+  } else {
+    const std::string dst = store_->physical_path(key);
+    auto copy = [&]() -> Result<uint64_t> {
+      HVAC_ASSIGN_OR_RETURN(storage::PosixFile out,
+                            storage::PosixFile::create_write(dst));
+      HVAC_ASSIGN_OR_RETURN(uint64_t n,
+                            pfs_->copy_from(src, offset, size, out, 0));
+      HVAC_RETURN_IF_ERROR(out.close());
+      return n;
+    };
+    auto n = copy();
+    if (!n.ok() || !store_->insert(key, *n).ok()) {
+      (void)storage::remove_file(dst);
+      if (!n.ok()) return n.error();
+      return false;
+    }
+    copied = *n;
+  }
+  eviction_->on_insert(key);
+  metrics_.on_miss(copied);
+  return true;
+}
+
+Result<bool> CacheManager::ensure_cached(const std::string& logical_path,
+                                         storage::BatchContainer* container) {
+  return ensure_key_cached(logical_path, logical_path, 0, UINT64_MAX,
+                           container);
 }
 
 Result<bool> CacheManager::ensure_segment_cached(
@@ -103,26 +129,12 @@ Result<bool> CacheManager::ensure_segment_cached(
   if (segment_bytes == 0) {
     return Error(ErrorCode::kInvalidArgument, "segment_bytes == 0");
   }
-  const std::string key = segment_key(logical_path, seg_index);
-  const uint64_t offset = seg_index * segment_bytes;
-  return ensure_key_cached(
-      key,
-      [&]() -> Result<uint64_t> {
-        HVAC_ASSIGN_OR_RETURN(uint64_t file_size,
-                              pfs_->size_of(logical_path));
-        if (offset >= file_size) {
-          return Error(ErrorCode::kInvalidArgument,
-                       "segment past EOF: " + key);
-        }
-        return std::min<uint64_t>(segment_bytes, file_size - offset);
-      },
-      [&](const std::string& dst) {
-        return pfs_->copy_range_out(logical_path, dst, offset,
-                                    segment_bytes);
-      });
+  return ensure_key_cached(segment_key(logical_path, seg_index),
+                           logical_path, seg_index * segment_bytes,
+                           segment_bytes, nullptr);
 }
 
-Result<storage::PosixFile> CacheManager::open_cached(
+Result<storage::StoredFile> CacheManager::open_cached(
     const std::string& logical_path) {
   return store_->open(logical_path);
 }

@@ -14,9 +14,7 @@
 #pragma once
 
 #include <condition_variable>
-#include <functional>
 #include <memory>
-#include <string>  // (segment keys)
 #include <mutex>
 #include <string>
 #include <unordered_set>
@@ -42,7 +40,11 @@ class CacheManager {
   //   false — cacheable capacity exceeded; caller should read through
   //           to the PFS (fallback), file is NOT cached
   // or an error if the PFS itself failed.
-  Result<bool> ensure_cached(const std::string& logical_path);
+  // With a `container` (a prefetch batch's), a file of at most
+  // BatchContainer::kMaxSampleBytes is copied into a range of it
+  // instead of a file of its own.
+  Result<bool> ensure_cached(const std::string& logical_path,
+                             storage::BatchContainer* container = nullptr);
 
   // The hit probe: when `key` is resident, records the access (eviction
   // recency + hit counter) and returns true; otherwise changes nothing.
@@ -50,7 +52,7 @@ class CacheManager {
   bool try_hit(const std::string& key);
 
   // Opens the cached copy (ensure_cached must have returned true).
-  Result<storage::PosixFile> open_cached(const std::string& logical_path);
+  Result<storage::StoredFile> open_cached(const std::string& logical_path);
 
   // Reads file bytes through the cache: hit -> local store, miss ->
   // copy then local store, capacity overflow -> PFS passthrough.
@@ -104,12 +106,19 @@ class CacheManager {
   // Makes room for `needed` bytes; returns false when impossible.
   bool make_room(uint64_t needed);
 
-  // Shared miss path: serializes concurrent first-reads of `key`,
-  // sizes the payload with `sized`, copies it in with `fetch`.
-  Result<bool> ensure_key_cached(
-      const std::string& key,
-      const std::function<Result<uint64_t>()>& sized,
-      const std::function<Result<uint64_t>(const std::string& dst)>& fetch);
+  // Shared miss path: serializes concurrent first-reads of `key`, then
+  // fills it from [offset, offset + max_len) of `logical_path`
+  // (max_len UINT64_MAX: the whole file; otherwise one segment).
+  Result<bool> ensure_key_cached(const std::string& key,
+                                 const std::string& logical_path,
+                                 uint64_t offset, uint64_t max_len,
+                                 storage::BatchContainer* container);
+  // The copy itself, run by the one caller that owns `key`'s fetch:
+  // open the PFS source once, size it with fstat, make room, copy into
+  // a container range or a file of its own, publish.
+  Result<bool> fill(const std::string& key, const std::string& logical_path,
+                    uint64_t offset, uint64_t max_len,
+                    storage::BatchContainer* container);
 
   storage::PfsBackend* pfs_;
   std::unique_ptr<storage::LocalStore> store_;

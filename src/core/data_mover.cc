@@ -15,7 +15,9 @@ DataMover::DataMover(CacheManager* cache, size_t movers,
 
 DataMover::~DataMover() { shutdown(); }
 
-std::shared_future<Result<bool>> DataMover::submit(std::string logical_path) {
+std::shared_future<Result<bool>> DataMover::submit(
+    std::string logical_path,
+    std::shared_ptr<storage::BatchContainer> container) {
   {
     // Coalesce onto an in-flight fetch for the same path: the waiter
     // shares the first submit's future, the queue sees one task.
@@ -36,6 +38,7 @@ std::shared_future<Result<bool>> DataMover::submit(std::string logical_path) {
   auto task = std::make_unique<Task>();
   task->logical_path = logical_path;
   task->inflight = inflight;
+  task->container = std::move(container);
   if (trace::enabled()) {
     task->ctx = trace::current_context();
     task->enqueue_ns = trace::now_ns();
@@ -101,7 +104,8 @@ void DataMover::mover_loop() {
     }
     Result<bool> result = [&] {
       trace::Span span("mover.fetch");
-      return cache_->ensure_cached((*task)->logical_path);
+      return cache_->ensure_cached((*task)->logical_path,
+                                   (*task)->container.get());
     }();
     uint32_t waiters = 0;
     uint64_t first_wait_ns = 0;

@@ -48,8 +48,11 @@ class DataMover {
   // Enqueues a fetch; the future resolves to ensure_cached's result
   // (true = cached, false = PFS fallback). A submit for a path that
   // already has a queued or running fetch piggybacks on it (shared
-  // future, no second queue slot).
-  std::shared_future<Result<bool>> submit(std::string logical_path);
+  // future, no second queue slot). A prefetch batch passes its
+  // `container`: a small file then lands in a range of it.
+  std::shared_future<Result<bool>> submit(
+      std::string logical_path,
+      std::shared_ptr<storage::BatchContainer> container = nullptr);
 
   // Convenience: submit and wait.
   Result<bool> fetch(const std::string& logical_path);
@@ -83,6 +86,7 @@ class DataMover {
   struct Task {
     std::string logical_path;
     std::shared_ptr<Inflight> inflight;
+    std::shared_ptr<storage::BatchContainer> container;
     // Submitter's trace context + enqueue time: the mover thread
     // adopts the context and reports the FIFO wait as its own span.
     trace::TraceContext ctx;

@@ -594,7 +594,9 @@ void RpcServer::shed_request(const std::shared_ptr<Connection>& conn,
   iov[1].iov_len = body.size();
   std::lock_guard<std::mutex> lock(conn->write_mutex);
   if (!send_vectored(conn->fd.get(), iov, 2).ok()) {
+    // Gone or stalled mid-frame: let the owning reactor reap it.
     HVAC_LOG_DEBUG("shed response write failed; peer likely gone");
+    ::shutdown(conn->fd.get(), SHUT_RDWR);
   }
 }
 

@@ -220,11 +220,18 @@ namespace {
 
 // Blocks until `fd` is writable again (EAGAIN on a non-blocking
 // socket mid-frame: there is no epoll re-arm for a half-sent frame,
-// the writer owns the stream until the frame is complete).
+// the writer owns the stream until the frame is complete), for at most
+// kSendStallMs: a peer that stops reading must not park the sending
+// reactor, and every connection it owns, forever.
 Status wait_writable(int fd) {
+  const int64_t deadline = steady_now_ms() + kSendStallMs;
   for (;;) {
+    const int64_t left = deadline - steady_now_ms();
+    if (left <= 0) {
+      return Error(ErrorCode::kTimeout, "send stalled: peer not reading");
+    }
     pollfd pfd{fd, POLLOUT, 0};
-    const int pr = ::poll(&pfd, 1, -1);
+    const int pr = ::poll(&pfd, 1, static_cast<int>(left));
     if (pr < 0) {
       if (errno == EINTR) continue;
       return Error::from_errno(errno, "poll(POLLOUT)");

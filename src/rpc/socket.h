@@ -66,6 +66,11 @@ Result<Fd> listen_on(const Endpoint& endpoint, Endpoint* bound_endpoint,
 // the OS default).
 Result<Fd> connect_to(const Endpoint& endpoint, int timeout_ms = 5000);
 
+// Longest a send waits for a full socket buffer to drain (no progress
+// at all) before it fails with kTimeout. The frame is then cut short,
+// so the caller drops the connection.
+constexpr int kSendStallMs = 2000;
+
 // Writes exactly `size` bytes (retrying on EINTR / short writes).
 Status send_all(int fd, const void* data, size_t size);
 
@@ -76,7 +81,8 @@ Status send_all(int fd, const void* data, size_t size);
 // applied — no SIGPIPE and no duplicated bytes). The iovec array is
 // clobbered as progress bookkeeping — pass a scratch copy. One
 // syscall in the common case, so a frame header + payload go out
-// together instead of as two send_all round trips.
+// together instead of as two send_all round trips. On a non-blocking
+// socket a full buffer is waited out for up to kSendStallMs.
 Status send_vectored(int fd, iovec* iov, int iovcnt);
 
 // send_vectored with MSG_MORE: corks the bytes so the kernel holds

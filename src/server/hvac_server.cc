@@ -298,16 +298,16 @@ void HvacServer::register_handlers() {
   };
   // Hit-path ops run inline on the owning reactor thread, skipping the
   // pool queue/wake entirely: ping, close, the in-memory packed index,
-  // and the reads — which serve a resident file, sample or segment to
-  // completion there and defer to the pool on a miss (kWouldBlock), so
-  // a slow fetch never stalls a reactor's other connections. Everything
-  // else is mover-, PFS- or journal-bound and stays pooled; kOpen too,
-  // which still takes its place on the mover FIFO (see handle_open).
+  // and the opens and reads — which serve a resident file, sample or
+  // segment to completion there and defer to the pool on a miss
+  // (kWouldBlock), so a slow fetch never stalls a reactor's other
+  // connections. Everything else is mover-, PFS- or journal-bound and
+  // stays pooled.
   constexpr auto kInline = rpc::DispatchHint::kInline;
   rpc_.register_handler(
       proto::kPing, timed(proto::kPing, &HvacServer::handle_ping), kInline);
-  rpc_.register_handler(proto::kOpen,
-                        timed(proto::kOpen, &HvacServer::handle_open));
+  rpc_.register_handler(
+      proto::kOpen, timed(proto::kOpen, &HvacServer::handle_open), kInline);
   rpc_.register_payload_handler(
       proto::kRead, timed(proto::kRead, &HvacServer::handle_read), kInline);
   rpc_.register_handler(
@@ -386,38 +386,50 @@ Result<Bytes> HvacServer::handle_open(const Bytes& req) {
   // stamped on it; the reported size is the sample's, not the blob's.
   const PackedRoute route = route_packed(path);
 
-  // Forward to the data-mover FIFO (paper §III-D steps 4-6) and wait
-  // for the cache decision, a resident file included: an open never
-  // overtakes prefetch work queued ahead of it, and the clairvoyant
-  // scheduler counts an access warm only once its batch is answered
-  // (ROADMAP has why kOpen is not served inline yet). Retry if the
-  // fresh copy is evicted before we open it (possible under heavy
-  // capacity pressure); fall back to the PFS otherwise.
   auto open_file = std::make_shared<OpenFile>();
   open_file->logical_path = path;
   open_file->pfs_fallback = true;
-  for (int attempt = 0; attempt < 3; ++attempt) {
-    HVAC_ASSIGN_OR_RETURN(bool cached, mover_->fetch(path));
-    if (!cached) break;  // capacity overflow: serve from the PFS
+  if (rpc::RpcServer::on_reactor_thread()) {
+    // Inline: a resident file or sample opens to completion here, with
+    // no pool or mover hop. Anything else re-runs pooled.
+    if (!cache_->try_hit(path)) return defer_to_pool();
     auto f = cache_->open_cached(path);
-    if (f.ok()) {
-      open_file->file = std::move(f).value();
-      open_file->pfs_fallback = false;
-      break;
+    if (!f.ok()) {
+      if (f.error().code == ErrorCode::kNotFound) return defer_to_pool();
+      return f.error();
     }
-    if (f.error().code != ErrorCode::kNotFound) return f.error();
+    open_file->cached = std::move(f).value();
+    open_file->pfs_fallback = false;
+  } else {
+    // Pooled: forward to the data-mover FIFO (paper §III-D steps 4-6)
+    // and wait for the cache decision. Retry if the fresh copy is
+    // evicted before we open it (possible under heavy capacity
+    // pressure); fall back to the PFS otherwise.
+    for (int attempt = 0; attempt < 3; ++attempt) {
+      HVAC_ASSIGN_OR_RETURN(bool cached, mover_->fetch(path));
+      if (!cached) break;  // capacity overflow: serve from the PFS
+      auto f = cache_->open_cached(path);
+      if (f.ok()) {
+        open_file->cached = std::move(f).value();
+        open_file->pfs_fallback = false;
+        break;
+      }
+      if (f.error().code != ErrorCode::kNotFound) return f.error();
+    }
   }
-  uint64_t size = 0;
   if (open_file->pfs_fallback) {
-    HVAC_ASSIGN_OR_RETURN(open_file->file, pfs_->open(path));
+    HVAC_ASSIGN_OR_RETURN(open_file->pfs_file, pfs_->open(path));
+  } else {
+    open_file->base_offset = open_file->cached.base();
   }
   if (route.packed) {
-    open_file->base_offset = route.base;
-    size = route.length;
+    open_file->base_offset += route.base;
+    open_file->size = route.length;
+  } else if (open_file->pfs_fallback) {
+    HVAC_ASSIGN_OR_RETURN(open_file->size, open_file->pfs_file.size());
   } else {
-    HVAC_ASSIGN_OR_RETURN(size, open_file->file.size());
+    HVAC_ASSIGN_OR_RETURN(open_file->size, open_file->cached.size());
   }
-  open_file->size = size;
   const bool cached = !open_file->pfs_fallback;
 
   const uint64_t remote_fd =
@@ -429,7 +441,7 @@ Result<Bytes> HvacServer::handle_open(const Bytes& req) {
 
   WireWriter w;
   w.put_u64(remote_fd);
-  w.put_u64(size);
+  w.put_u64(open_file->size);
   w.put_u8(cached ? proto::kFromCache : proto::kFromPfsFallback);
   return std::move(w).take();
 }
@@ -515,7 +527,7 @@ Status HvacServer::resolve_source(ReadSource& src) {
     src.base = f.base_offset;
     src.limit = f.size;
     if (!f.pfs_fallback) {
-      src.cached = &f.file;
+      src.cached = &f.cached.file();
       src.owner = src.open_file;
     }
     return Status::Ok();
@@ -552,12 +564,11 @@ Status HvacServer::resolve_source(ReadSource& src) {
   if (cache_->is_cached(key)) {
     auto pinned = cache_->store().open_pinned(key);
     if (pinned.ok()) {
-      auto pin = std::make_shared<storage::OpenHandleCache::Pin>(
-          std::move(pinned).value());
-      HVAC_ASSIGN_OR_RETURN(uint64_t size, pin->size());
+      HVAC_ASSIGN_OR_RETURN(uint64_t size, pinned->size());
+      src.base += pinned->base();
       src.limit = std::min(src.limit, size);
-      src.cached = &pin->file();
-      src.owner = std::move(pin);
+      src.cached = &pinned->file();
+      src.owner = pinned->owner();
     }
   }
   // Not resident (or evicted, or the store failed since the probe).
@@ -621,7 +632,8 @@ Result<rpc::Payload> HvacServer::serve_extents(const ReadSource& src,
       cache_->record_served_bytes(got, true);
     } else if (src.open_file != nullptr) {
       HVAC_ASSIGN_OR_RETURN(
-          got, pfs_->pread(src.open_file->file, dst, len, src.base + off));
+          got,
+          pfs_->pread(src.open_file->pfs_file, dst, len, src.base + off));
       cache_->record_served_bytes(got, false);
     } else {
       HVAC_ASSIGN_OR_RETURN(
@@ -663,7 +675,7 @@ Result<Bytes> HvacServer::handle_stat(const Bytes& req) {
   uint64_t size = 0;
   bool cached = false;
   if (cache_->is_cached(path)) {
-    HVAC_ASSIGN_OR_RETURN(storage::PosixFile f, cache_->open_cached(path));
+    HVAC_ASSIGN_OR_RETURN(storage::StoredFile f, cache_->open_cached(path));
     HVAC_ASSIGN_OR_RETURN(size, f.size());
     cached = true;
   } else {
@@ -691,13 +703,21 @@ Result<Bytes> HvacServer::handle_prefetch_batch(const Bytes& req) {
   // immediately when it is full, which becomes a per-path SHED status
   // rather than a flood of queued tasks. A single failed fetch must
   // not fail the batch: the path reports miss/shed and the rest keep
-  // warming.
+  // warming. The batch's small unpacked files share one new local
+  // container (created by the first of them to land), so the batch
+  // costs one inode, not one per sample; pack_tree containers keep
+  // their own copy.
   std::vector<std::shared_future<Result<bool>>> futures;
   futures.reserve(n);
+  std::shared_ptr<storage::BatchContainer> container;
   for (uint32_t i = 0; i < n; ++i) {
     HVAC_ASSIGN_OR_RETURN(std::string path, r.get_string());
-    (void)route_packed(path);
-    futures.push_back(mover_->submit(std::move(path)));
+    if (route_packed(path).packed) {
+      futures.push_back(mover_->submit(std::move(path)));
+      continue;
+    }
+    if (!container) container = cache_->store().new_container();
+    futures.push_back(mover_->submit(std::move(path), container));
   }
   WireWriter w;
   w.put_u32(n);

@@ -119,12 +119,14 @@ class HvacServer {
 
  private:
   struct OpenFile {
-    storage::PosixFile file;
+    storage::StoredFile cached;   // the cached copy, unless pfs_fallback
+    storage::PosixFile pfs_file;  // the PFS file, when pfs_fallback
     std::string logical_path;
     uint64_t size = 0;  // at open time; cached copies are immutable
-    // For a packed sample the fd is the *container*: reads add
-    // base_offset and clamp to `size` (the sample length) so they can
-    // never bleed into the neighbouring sample.
+    // For a packed sample, or a sample cached in a batch container, the
+    // fd is the *container*: reads add base_offset and clamp to `size`
+    // (the sample length) so they can never bleed into the
+    // neighbouring sample.
     uint64_t base_offset = 0;
     bool pfs_fallback = false;
   };

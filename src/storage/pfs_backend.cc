@@ -79,27 +79,11 @@ Result<uint64_t> PfsBackend::copy_out(const std::string& relative_path,
   return bytes;
 }
 
-Result<uint64_t> PfsBackend::copy_range_out(const std::string& relative_path,
-                                            const std::string& dst,
-                                            uint64_t offset,
-                                            uint64_t length) {
-  HVAC_RETURN_IF_ERROR(fault::check(fault::Site::kPfsRead));
-  charge_metadata();
-  HVAC_ASSIGN_OR_RETURN(PosixFile in,
-                        PosixFile::open_read(absolute(relative_path)));
-  HVAC_ASSIGN_OR_RETURN(PosixFile out, PosixFile::create_write(dst));
-  std::vector<uint8_t> buf(std::min<uint64_t>(length, 1u << 20));
-  uint64_t copied = 0;
-  while (copied < length) {
-    const size_t want =
-        static_cast<size_t>(std::min<uint64_t>(buf.size(), length - copied));
-    HVAC_ASSIGN_OR_RETURN(size_t n,
-                          in.pread(buf.data(), want, offset + copied));
-    if (n == 0) break;  // EOF inside the last segment
-    HVAC_ASSIGN_OR_RETURN(size_t w, out.write(buf.data(), n));
-    copied += w;
-  }
-  HVAC_RETURN_IF_ERROR(out.close());
+Result<uint64_t> PfsBackend::copy_from(const PosixFile& src, uint64_t offset,
+                                       uint64_t length, PosixFile& dst,
+                                       uint64_t dst_offset) {
+  HVAC_ASSIGN_OR_RETURN(uint64_t copied,
+                        copy_range(src, offset, length, dst, dst_offset));
   charge_bandwidth(copied);
   return copied;
 }
@@ -134,18 +118,9 @@ Result<uint64_t> PfsBackend::copy_in(const std::string& src,
   const std::string dst = absolute(relative_path);
   const std::string tmp = dst + ".hvacflush";
   HVAC_ASSIGN_OR_RETURN(PosixFile in, PosixFile::open_read(src));
-  HVAC_RETURN_IF_ERROR(make_directories(
-      dst.rfind('/') == std::string::npos ? std::string("/")
-                                          : dst.substr(0, dst.rfind('/'))));
+  HVAC_ASSIGN_OR_RETURN(uint64_t size, in.size());
   HVAC_ASSIGN_OR_RETURN(PosixFile out, PosixFile::create_write(tmp));
-  std::vector<uint8_t> buf(1u << 20);
-  uint64_t total = 0;
-  for (;;) {
-    HVAC_ASSIGN_OR_RETURN(size_t n, in.read(buf.data(), buf.size()));
-    if (n == 0) break;
-    HVAC_ASSIGN_OR_RETURN(size_t w, out.write(buf.data(), n));
-    total += w;
-  }
+  HVAC_ASSIGN_OR_RETURN(uint64_t total, copy_range(in, 0, size, out, 0));
   HVAC_RETURN_IF_ERROR(out.sync());
   HVAC_RETURN_IF_ERROR(out.close());
   if (::rename(tmp.c_str(), dst.c_str()) != 0) {

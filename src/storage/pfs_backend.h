@@ -57,13 +57,15 @@ class PfsBackend {
   Result<uint64_t> copy_out(const std::string& relative_path,
                             const std::string& dst);
 
-  // Copies one byte range [offset, offset+length) out to `dst` —
-  // the fetch primitive behind segment-level caching (paper §III-E
-  // cites HFetch-style segmentation for skewed file sizes). Returns
-  // bytes copied (clamped at EOF).
-  Result<uint64_t> copy_range_out(const std::string& relative_path,
-                                  const std::string& dst, uint64_t offset,
-                                  uint64_t length);
+  // Copies [offset, offset + length) of a PFS file already opened with
+  // open() into `dst` at `dst_offset`, paying bandwidth for the bytes
+  // moved (clamped at EOF). The cache's fetch path opens the source
+  // once — its only metadata op — sizes it with fstat and copies a
+  // whole file or one segment (paper §III-E cites HFetch-style
+  // segmentation for skewed file sizes) from that fd.
+  Result<uint64_t> copy_from(const PosixFile& src, uint64_t offset,
+                             uint64_t length, PosixFile& dst,
+                             uint64_t dst_offset);
 
   // Opens `relative_path` for writing (creating parents and the file,
   // truncating if asked), paying metadata latency — the write-through

@@ -5,7 +5,9 @@
 #include <sys/types.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
+#include <memory>
 
 namespace hvac::storage {
 
@@ -28,8 +30,20 @@ Result<PosixFile> PosixFile::open_read(const std::string& path) {
 }
 
 Result<PosixFile> PosixFile::create_write(const std::string& path) {
-  const int fd =
-      ::open(path.c_str(), O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC, 0644);
+  const auto create = [&] {
+    return ::open(path.c_str(), O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC,
+                  0644);
+  };
+  int fd = create();
+  if (fd < 0 && errno == ENOENT) {
+    // Parents are created only on demand: the common case (the cache
+    // root, a known PFS directory) pays no mkdir per file.
+    const size_t slash = path.rfind('/');
+    if (slash != std::string::npos && slash > 0) {
+      HVAC_RETURN_IF_ERROR(make_directories(path.substr(0, slash)));
+      fd = create();
+    }
+  }
   if (fd < 0) return Error::from_errno(errno, "create " + path);
   return PosixFile(fd);
 }
@@ -154,35 +168,42 @@ Status make_directories(const std::string& path) {
   return Status::Ok();
 }
 
-namespace {
-std::string parent_dir(const std::string& path) {
-  const size_t slash = path.rfind('/');
-  if (slash == std::string::npos || slash == 0) return "/";
-  return path.substr(0, slash);
-}
-}  // namespace
-
 Status write_file(const std::string& path, const void* data, size_t size) {
-  HVAC_RETURN_IF_ERROR(make_directories(parent_dir(path)));
   HVAC_ASSIGN_OR_RETURN(PosixFile f, PosixFile::create_write(path));
   HVAC_ASSIGN_OR_RETURN(size_t n, f.write(data, size));
   (void)n;
   return f.close();
 }
 
+Result<uint64_t> copy_range(const PosixFile& in, uint64_t offset,
+                            uint64_t length, PosixFile& out,
+                            uint64_t out_offset) {
+  // Sized to the range, capped at 1 MiB, and left uninitialised: a
+  // 4 KiB sample costs a 4 KiB allocation, not a zeroed megabyte.
+  const size_t cap =
+      static_cast<size_t>(std::max<uint64_t>(1, std::min<uint64_t>(
+                                                    length, 1u << 20)));
+  std::unique_ptr<uint8_t[]> buf(new uint8_t[cap]);
+  uint64_t copied = 0;
+  while (copied < length) {
+    const size_t want =
+        static_cast<size_t>(std::min<uint64_t>(cap, length - copied));
+    HVAC_ASSIGN_OR_RETURN(size_t n,
+                          in.pread(buf.get(), want, offset + copied));
+    if (n == 0) break;  // EOF inside the range
+    HVAC_ASSIGN_OR_RETURN(size_t w,
+                          out.pwrite(buf.get(), n, out_offset + copied));
+    copied += w;
+  }
+  return copied;
+}
+
 Result<uint64_t> copy_file_contents(const std::string& src,
                                     const std::string& dst) {
   HVAC_ASSIGN_OR_RETURN(PosixFile in, PosixFile::open_read(src));
-  HVAC_RETURN_IF_ERROR(make_directories(parent_dir(dst)));
+  HVAC_ASSIGN_OR_RETURN(uint64_t size, in.size());
   HVAC_ASSIGN_OR_RETURN(PosixFile out, PosixFile::create_write(dst));
-  std::vector<uint8_t> buf(1u << 20);
-  uint64_t total = 0;
-  for (;;) {
-    HVAC_ASSIGN_OR_RETURN(size_t n, in.read(buf.data(), buf.size()));
-    if (n == 0) break;
-    HVAC_ASSIGN_OR_RETURN(size_t w, out.write(buf.data(), n));
-    total += w;
-  }
+  HVAC_ASSIGN_OR_RETURN(uint64_t total, copy_range(in, 0, size, out, 0));
   HVAC_RETURN_IF_ERROR(out.close());
   return total;
 }

@@ -25,6 +25,8 @@ class PosixFile {
   PosixFile& operator=(PosixFile&& other) noexcept;
 
   static Result<PosixFile> open_read(const std::string& path);
+  // Creates (or truncates) `path` for writing; missing parent
+  // directories are created when the first attempt fails with ENOENT.
   static Result<PosixFile> create_write(const std::string& path);
   // Read/write open that preserves existing contents (O_RDWR|O_CREAT,
   // no truncation): the journal and the write-back store both re-open
@@ -69,6 +71,13 @@ Status write_file(const std::string& path, const void* data, size_t size);
 // copied. This is the data-mover's PFS -> NVMe "fs::copy" step.
 Result<uint64_t> copy_file_contents(const std::string& src,
                                     const std::string& dst);
+
+// Copies up to `length` bytes of `in` from `offset` into `out` at
+// `out_offset` with positional I/O (neither file offset moves); stops
+// early at EOF. Returns the bytes copied.
+Result<uint64_t> copy_range(const PosixFile& in, uint64_t offset,
+                            uint64_t length, PosixFile& out,
+                            uint64_t out_offset);
 
 // mkdir -p.
 Status make_directories(const std::string& path);

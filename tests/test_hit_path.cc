@@ -1,9 +1,10 @@
-// Run-to-completion cache hits: kRead and kReadScatter serve a resident
-// file on the reactor thread and defer to the handler pool only on a
-// miss. Covers head-of-line freedom (hit reads on one connection never
-// wait behind a miss stalled in the mover on another), one count per
-// request however many attempts it took, the client answering EOF
-// without a round trip, and a short read mid-file still recovering.
+// Run-to-completion cache hits: kOpen, kRead and kReadScatter serve a
+// resident file on the reactor thread and defer to the handler pool
+// only on a miss. Covers head-of-line freedom (hit opens and reads on
+// one connection never wait behind a miss stalled in the mover on
+// another), one count per request however many attempts it took, the
+// client answering EOF without a round trip, and a short read mid-file
+// still recovering.
 #include <gtest/gtest.h>
 #include <unistd.h>
 
@@ -167,8 +168,8 @@ TEST(HitPath, HitsOnOneConnectionNeverWaitBehindAStalledMiss) {
   const std::string cold = alloc.tree.relative_paths[1];
   const rpc::Endpoint endpoint{alloc.node->endpoints()[0]};
 
-  // kOpen is pooled and queues on the mover FIFO, so the hot file is
-  // opened (and cached) before the stall; the reads below are the hits.
+  // The hot file is opened (and cached) before the stall; the opens
+  // and reads below are the hits.
   rpc::RpcClient hits(endpoint);
   uint64_t remote_fd = 0;
   {
@@ -200,6 +201,19 @@ TEST(HitPath, HitsOnOneConnectionNeverWaitBehindAStalledMiss) {
   const uint32_t size = static_cast<uint32_t>(alloc.tree.sizes[0]);
   for (int round = 0; round < 3; ++round) {
     auto t0 = std::chrono::steady_clock::now();
+    auto reopened = hits.call(proto::kOpen, open_request(hot));
+    EXPECT_LT(ms_since(t0), kHitBoundMs) << "hit kOpen waited";
+    ASSERT_TRUE(reopened.ok()) << reopened.error().to_string();
+    {
+      WireReader r(*reopened);
+      WireWriter close;
+      close.put_u64(*r.get_u64());
+      EXPECT_EQ(*r.get_u64(), alloc.tree.sizes[0]);
+      EXPECT_EQ(*r.get_u8(), proto::kFromCache);
+      ASSERT_TRUE(hits.call(proto::kClose, close).ok());
+    }
+
+    t0 = std::chrono::steady_clock::now();
     WireWriter read;
     read.put_u64(remote_fd);
     read.put_u64(0);

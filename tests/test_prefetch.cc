@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <atomic>
 #include <chrono>
 #include <filesystem>
 #include <future>
@@ -484,6 +485,57 @@ TEST(PrefetchSchedulerE2E, MoverBackpressureShedsPerPathAndRepaces) {
   const auto data = read_whole(client2, abs_paths[0]);
   ASSERT_TRUE(data.ok()) << data.error().message;
   server.stop();
+}
+
+TEST(PrefetchSchedulerE2E, KeepsTwoBatchesInFlight) {
+  // A scripted server holds every kPrefetchBatch answer for 200 ms and
+  // records how many it holds at once. The scheduler keeps two
+  // outstanding — never more — and counts a sample completed only when
+  // its own batch answers.
+  constexpr int kHoldMs = 200;
+  std::atomic<int> holding{0};
+  std::atomic<int> max_holding{0};
+  rpc::RpcServerOptions so;
+  so.reactors = 1;
+  so.handler_threads = 4;
+  rpc::RpcServer fake(so);
+  fake.register_handler(proto::kPrefetchBatch,
+                        [&](const rpc::Bytes& req) -> Result<rpc::Bytes> {
+    const int now = holding.fetch_add(1) + 1;
+    int seen = max_holding.load();
+    while (now > seen && !max_holding.compare_exchange_weak(seen, now)) {
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(kHoldMs));
+    holding.fetch_sub(1);
+    rpc::WireReader r(req);
+    HVAC_ASSIGN_OR_RETURN(const uint32_t n, r.get_u32());
+    rpc::WireWriter w;
+    w.put_u32(n);
+    for (uint32_t i = 0; i < n; ++i) w.put_u8(proto::kPrefetchCached);
+    return std::move(w).take();
+  });
+  ASSERT_TRUE(fake.start().ok());
+
+  HvacClientOptions copts;
+  copts.dataset_dir = temp_dir("two_inflight");
+  copts.server_endpoints = {fake.endpoint().address};
+  copts.readahead_chunks = 0;
+  HvacClient client(copts);
+  PrefetchSchedulerOptions po;
+  po.depth = 64;
+  po.batch_size = 4;
+  PrefetchScheduler sched(&client, po);
+  std::vector<std::string> plan;
+  for (int i = 0; i < 16; ++i) plan.push_back("s" + std::to_string(i));
+  sched.set_plan(plan);
+  sched.wait_caught_up();
+  sched.stop();
+
+  const PrefetchScheduler::Stats s = sched.stats();
+  EXPECT_EQ(s.issued, 16u);
+  EXPECT_EQ(s.completed, 16u);
+  EXPECT_EQ(max_holding.load(), 2);
+  fake.stop();
 }
 
 TEST(PrefetchSchedulerE2E, StalledBatchWaitIsBoundedAndReadsAsShed) {

@@ -6,6 +6,8 @@
 // shard's handlers. Suite names carry Backpressure/Drain/Fault/Chaos
 // so the chaos CI leg (scripts/check.sh chaos) picks them up.
 #include <gtest/gtest.h>
+#include <sys/socket.h>
+#include <sys/time.h>
 #include <unistd.h>
 
 #include <atomic>
@@ -20,6 +22,7 @@
 #include "common/thread_pool.h"
 #include "rpc/async_client.h"
 #include "rpc/health.h"
+#include "rpc/protocol.h"
 #include "rpc/rpc_client.h"
 #include "rpc/rpc_server.h"
 
@@ -297,6 +300,66 @@ TEST(ReactorBackpressure, ShedAccountingSumsAcrossReactors) {
   EXPECT_EQ(sum_requests(stats), ok);
   server.stop();
   rpc::HealthRegistry::global().reset();
+}
+
+TEST(ReactorBackpressure, PeerThatNeverReadsCannotParkItsReactor) {
+  // One reactor serves both connections. The stalled peer asks for a
+  // 32 MiB reply and never reads it, so the inline handler's send
+  // fills the socket buffers (a few MiB on loopback) and waits. That wait is bounded: the send
+  // fails with kTimeout after rpc::kSendStallMs, the server drops the
+  // stalled connection, and a ping on the other connection answers
+  // within the bound instead of never.
+  RpcServerOptions so;
+  so.bind_address = "127.0.0.1:0";
+  so.handler_threads = 1;
+  so.reactors = 1;
+  RpcServer server(so);
+  constexpr size_t kReplyBytes = 32u << 20;
+  server.register_handler(
+      1, [](const Bytes&) { return Result<Bytes>(Bytes(kReplyBytes, 0x5a)); },
+      rpc::DispatchHint::kInline);
+  server.register_handler(
+      2, [](const Bytes& req) { return Result<Bytes>(req); },
+      rpc::DispatchHint::kInline);
+  ASSERT_TRUE(server.start().ok());
+
+  auto stalled = rpc::connect_to(server.endpoint());
+  ASSERT_TRUE(stalled.ok()) << stalled.error().to_string();
+  rpc::FrameHeader req;
+  req.request_id = 1;
+  req.opcode = 1;
+  uint8_t hdr[rpc::kMaxHeaderSize];
+  const size_t hdr_len = rpc::encode_header(req, hdr);
+  ASSERT_TRUE(rpc::send_all(stalled->get(), hdr, hdr_len).ok());
+  // Let the reactor pick the request up and block in its send.
+  std::this_thread::sleep_for(std::chrono::milliseconds(300));
+
+  RpcClient pinger(server.endpoint());
+  const auto t0 = std::chrono::steady_clock::now();
+  const auto pong = pinger.call(2, Bytes{7});
+  const double waited_ms = std::chrono::duration<double, std::milli>(
+                               std::chrono::steady_clock::now() - t0)
+                               .count();
+  ASSERT_TRUE(pong.ok()) << pong.error().to_string();
+  EXPECT_EQ(*pong, Bytes{7});
+  EXPECT_LT(waited_ms, double(rpc::kSendStallMs) + 1000.0);
+
+  // The stalled connection was dropped mid-frame: draining it ends in
+  // EOF or a reset, well short of the promised reply.
+  timeval tv{5, 0};
+  ::setsockopt(stalled->get(), SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
+  std::vector<uint8_t> buf(1 << 16);
+  size_t drained = 0;
+  for (;;) {
+    const ssize_t n = ::recv(stalled->get(), buf.data(), buf.size(), 0);
+    if (n <= 0) {
+      EXPECT_TRUE(n == 0 || errno == ECONNRESET) << "errno " << errno;
+      break;
+    }
+    drained += size_t(n);
+  }
+  EXPECT_LT(drained, hdr_len + kReplyBytes);
+  server.stop();
 }
 
 // ---- graceful drain across reactors ---------------------------------------
