@@ -65,11 +65,13 @@ JOBS="$(nproc 2>/dev/null || echo 4)"
 # The concurrency-sensitive suites worth a TSan pass: the pinned-handle
 # cache, the buffer pool, the RPC stack (reactors + work stealing), the
 # client read path, the hit path (inline on the reactor, deferred to
-# the pool on a miss), segment reads (hits inline, misses pooled) and
-# the batch-container fill (movers appending to one container).
+# the pool on a miss), segment reads (hits inline, misses pooled), the
+# batch-container fill (movers appending to one container) and the
+# prefix open (a reply buffer shared by every copy of an fd's entry).
 TSAN_SUITES="test_storage test_common test_rpc test_async_rpc \
 test_client_edge test_stress test_trace test_reactor test_write_journal \
-test_prefetch test_hit_path test_segment test_server_edge test_batch_fill"
+test_prefetch test_hit_path test_segment test_server_edge test_batch_fill \
+test_open_prefix"
 
 case "$MODE" in
   tier1)

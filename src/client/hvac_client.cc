@@ -110,6 +110,7 @@ Result<HvacClientOptions> options_from_env() {
   }
   o.prefetch_plan_file = env_string_or("HVAC_PREFETCH_PLAN", "");
   o.meta_ttl_ms = env_int_or("HVAC_META_TTL_MS", o.meta_ttl_ms);
+  o.open_prefix = true;  // the shim's opens are one round trip
   o.packed_enabled = env_bool_or("HVAC_PACK", true);
   o.packed_ttl_ms = env_int_or("HVAC_PACK_TTL_MS", o.packed_ttl_ms);
   const std::string durability =
@@ -297,6 +298,9 @@ void HvacClient::readahead_advance(int vfd, const core::FdEntry& entry,
     state.policy.depth = options_.readahead_chunks;
     state.policy.max_depth =
         std::max(options_.readahead_chunks, state.policy.max_depth);
+    // A stream that read the open's prefix first continues right
+    // after it.
+    if (entry.prefix) state.next_expected = entry.prefix->size;
   }
   const bool sequential = offset == state.next_expected;
   const uint64_t now = trace::now_ns();
@@ -373,6 +377,12 @@ Result<int> HvacClient::open_via_pfs(const std::string& path) {
   std::lock_guard<std::mutex> lock(stats_mutex_);
   ++stats_.fallback_opens;
   return vfd;
+}
+
+void HvacClient::drop_prefix(const core::FdEntry& entry) {
+  if (!entry.prefix) return;
+  std::lock_guard<std::mutex> lock(stats_mutex_);
+  stats_.prefix_unread_bytes += entry.prefix->unread();
 }
 
 std::optional<MetaEntry> HvacClient::meta_lookup(const std::string& logical) {
@@ -510,9 +520,12 @@ Result<int> HvacClient::open(const std::string& path) {
     const uint32_t server = homes[attempt];
     WireWriter w;
     w.put_string(logical);
-    Result<Bytes> resp = channel(server).call(proto::kOpen, w);
+    if (options_.open_prefix) w.put_u8(proto::kOpenPrefix);
+    Result<rpc::Payload> resp =
+        channel(server).call_payload(proto::kOpen, w.bytes());
     if (resp.ok()) {
-      WireReader r(*resp);
+      auto reply = std::make_shared<rpc::Payload>(std::move(resp).value());
+      WireReader r(reply->data(), reply->size());
       HVAC_ASSIGN_OR_RETURN(uint64_t remote_fd, r.get_u64());
       HVAC_ASSIGN_OR_RETURN(uint64_t size, r.get_u64());
       HVAC_ASSIGN_OR_RETURN(uint8_t served_from, r.get_u8());
@@ -524,12 +537,34 @@ Result<int> HvacClient::open(const std::string& path) {
       entry.server_index = server;
       entry.remote_fd = remote_fd;
       entry.size = size;
+      // A prefix reply (a scatter frame after the header) leaves no
+      // state on the server: the fd goes path-mode and holds the first
+      // extent, which the reply buffer keeps alive. A bare header (an
+      // fd-mode request, or a server without prefixes) is a remote fd.
+      if (!r.exhausted()) {
+        HVAC_ASSIGN_OR_RETURN(
+            rpc::ScatterView view,
+            rpc::decode_scatter(reply->data() + reply->size() - r.remaining(),
+                                r.remaining()));
+        if (view.extents.size() != 1 || view.extents[0].offset != 0 ||
+            view.extents[0].length > size) {
+          return Error(ErrorCode::kProtocol, "bad open prefix");
+        }
+        auto prefix = std::make_shared<core::OpenPrefix>();
+        prefix->data = view.extents[0].data;
+        prefix->size = view.extents[0].length;
+        prefix->owner = std::move(reply);
+        entry.path_mode = true;
+        entry.prefix = std::move(prefix);
+      }
+      const uint64_t prefix_bytes = entry.prefix ? entry.prefix->size : 0;
       const int vfd = fds_.insert(std::move(entry));
       meta_.put(logical,
                 MetaEntry{size, server,
                           served_from == proto::kFromCache});
       std::lock_guard<std::mutex> lock(stats_mutex_);
       ++stats_.remote_opens;
+      stats_.prefix_bytes += prefix_bytes;
       if (attempt > 0) ++stats_.failovers;
       return vfd;
     }
@@ -569,6 +604,7 @@ Status HvacClient::recover_fd(int vfd, const core::FdEntry& stale,
                         force_pfs ? open_via_pfs(abs_path) : open(abs_path));
   HVAC_ASSIGN_OR_RETURN(core::FdEntry fresh, fds_.erase(fresh_vfd));
   fresh.offset = stale.offset;  // the application's position survives
+  drop_prefix(stale);
   // Any read-ahead in flight targets the dead server's remote fd.
   readahead_drop(vfd);
   {
@@ -667,7 +703,14 @@ Result<size_t> HvacClient::pread_attempt(int vfd, void* buf, size_t count,
 
   auto* out = static_cast<uint8_t*>(buf);
   size_t total = 0;
-  while (total < count) {
+  // The bytes that came with the open need no round trip.
+  if (entry.prefix) {
+    total = entry.prefix->copy(offset, count, out);
+    if (total > 0) stall_charge(core::StallBucket::kLocalHit);
+  }
+  // A read fd stops at its size: the rest of a read that runs to EOF
+  // needs no round trip either.
+  while (total < count && (entry.writable || offset + total < entry.size)) {
     const uint64_t chunk_offset = offset + total;
     // A segmented fd's chunk stops at its segment's end: one request
     // addresses one segment, at that segment's home.
@@ -803,6 +846,7 @@ Status HvacClient::close(int vfd) {
   trace::Span span("client.close");
   HVAC_ASSIGN_OR_RETURN(core::FdEntry entry, fds_.erase(vfd));
   readahead_drop(vfd);
+  drop_prefix(entry);
   // Segmented and path-mode fds never opened anything remotely.
   if (entry.segmented || entry.path_mode) return Status::Ok();
   if (entry.fallback_pfs) {
@@ -1144,6 +1188,8 @@ std::string stats_to_json(const ClientStats& s) {
     << ",\"bytes_written\":" << s.bytes_written
     << ",\"fsyncs\":" << s.fsyncs
     << ",\"fallback_write_opens\":" << s.fallback_write_opens
+    << ",\"prefix_bytes\":" << s.prefix_bytes
+    << ",\"prefix_unread_bytes\":" << s.prefix_unread_bytes
     << ",\"read_ahead\":{\"issued\":" << s.readahead_issued
     << ",\"consumed\":" << s.readahead_hits
     << ",\"wasted\":" << s.readahead_wasted << "}"

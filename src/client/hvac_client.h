@@ -78,6 +78,16 @@ struct HvacClientOptions {
   // re-opens of a file whose {size, home, cached} is still fresh skip
   // the stat/open round trip entirely (path-mode fds). 0 disables.
   int64_t meta_ttl_ms = 3000;
+  // One-RPC opens: kOpen asks for the file's first extent
+  // (proto::kOpenPrefix) and the fd needs no server state — reads
+  // inside that prefix are answered locally, reads past it go by path,
+  // and close is local. Off: kOpen registers a remote fd that reads
+  // address and kClose releases. The interception shim turns it on
+  // (options_from_env). A client built in code keeps fd-mode opens
+  // unless it asks: its callers so far (tests of fd fail-over and
+  // per-read server accounting, the latency ladder's library rung)
+  // expect every read to reach the server.
+  bool open_prefix = false;
   // Packed-container resolution (HVAC_PACK): when the dataset carries
   // a .hvacpack index, the client fetches it once and resolves packed
   // sample paths locally — opens and stats of packed samples cost zero
@@ -115,6 +125,10 @@ struct ClientStats {
   uint64_t bytes_written = 0;
   uint64_t fsyncs = 0;           // durability barriers requested
   uint64_t fallback_write_opens = 0;  // write opens served by the PFS
+  uint64_t prefix_bytes = 0;  // first-extent bytes received in kOpen
+                              // replies
+  uint64_t prefix_unread_bytes = 0;  // of those, dropped at close
+                                     // beyond the furthest byte read
 };
 
 // JSON rendering of the shim's exit summary (HVAC_STATS_FILE): the
@@ -249,6 +263,9 @@ class HvacClient {
   void count_wasted(size_t chunks);
 
   Result<int> open_via_pfs(const std::string& path);
+
+  // Counts the prefix bytes of a dropped fd that were never read.
+  void drop_prefix(const core::FdEntry& entry);
 
   // Meta-cache lookup with the breaker check folded in: an entry whose
   // home endpoint has an open circuit is invalidated on the spot (the

@@ -1,6 +1,7 @@
 #include "core/cache_manager.h"
 
 #include <algorithm>
+#include <utility>
 
 #include "common/log.h"
 #include "core/segment.h"
@@ -14,9 +15,12 @@ CacheManager::CacheManager(storage::PfsBackend* pfs,
 
 bool CacheManager::make_room(uint64_t needed) {
   const uint64_t capacity = store_->capacity_bytes();
-  if (capacity == 0) return true;  // unlimited
-  if (needed > capacity) return false;
-  while (store_->bytes_used() + needed > capacity) {
+  if (capacity != 0 && needed > capacity) return false;
+  // One filler evicts at a time, and each eviction's room goes to the
+  // reservation that asked for it: concurrent movers can no longer
+  // each make room for themselves and then lose it to one another.
+  std::lock_guard<std::mutex> lock(room_mutex_);
+  while (!store_->reserve(needed)) {
     auto victim = eviction_->select_victim();
     if (!victim.has_value()) return false;
     eviction_->on_evict(*victim);
@@ -82,6 +86,16 @@ Result<bool> CacheManager::fill(const std::string& key,
                                             << " bytes)");
     return false;
   }
+  // The reservation is handed to insert(), which turns it into use;
+  // every other way out of here gives it back.
+  struct Reservation {
+    storage::LocalStore& store;
+    uint64_t bytes;
+    ~Reservation() {
+      if (bytes > 0) store.release(bytes);
+    }
+    uint64_t take() { return std::exchange(bytes, 0); }
+  } reservation{*store_, size};
 
   uint64_t copied = 0;
   if (container != nullptr && whole &&
@@ -93,7 +107,7 @@ Result<bool> CacheManager::fill(const std::string& key,
                                                   container->file(),
                                                   slot->base));
     slot->length = copied;  // the source may have shrunk since fstat
-    if (!store_->insert(key, slot).ok()) return false;
+    if (!store_->insert(key, slot, reservation.take()).ok()) return false;
   } else {
     const std::string dst = store_->physical_path(key);
     auto copy = [&]() -> Result<uint64_t> {
@@ -105,7 +119,7 @@ Result<bool> CacheManager::fill(const std::string& key,
       return n;
     };
     auto n = copy();
-    if (!n.ok() || !store_->insert(key, *n).ok()) {
+    if (!n.ok() || !store_->insert(key, *n, reservation.take()).ok()) {
       (void)storage::remove_file(dst);
       if (!n.ok()) return n.error();
       return false;

@@ -103,7 +103,9 @@ class CacheManager {
   storage::PfsBackend& pfs() { return *pfs_; }
 
  private:
-  // Makes room for `needed` bytes; returns false when impossible.
+  // Reserves `needed` bytes in the store, evicting until used plus
+  // reserved bytes leave room for them; false when impossible. The
+  // caller hands the reservation to insert() or releases it.
   bool make_room(uint64_t needed);
 
   // Shared miss path: serializes concurrent first-reads of `key`, then
@@ -124,6 +126,8 @@ class CacheManager {
   std::unique_ptr<storage::LocalStore> store_;
   std::unique_ptr<EvictionPolicy> eviction_;
   Metrics metrics_;
+
+  std::mutex room_mutex_;  // serializes make_room's eviction loop
 
   std::mutex inflight_mutex_;
   std::condition_variable inflight_cv_;

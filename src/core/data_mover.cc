@@ -107,6 +107,10 @@ void DataMover::mover_loop() {
       return cache_->ensure_cached((*task)->logical_path,
                                    (*task)->container.get());
     }();
+    // Let go of the batch container before publishing: once a caller
+    // sees the result, the container lives only as long as its cached
+    // samples, and the last eviction unlinks it.
+    (*task)->container.reset();
     uint32_t waiters = 0;
     uint64_t first_wait_ns = 0;
     {

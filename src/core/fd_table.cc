@@ -1,6 +1,21 @@
 #include "core/fd_table.h"
 
+#include <cstring>
+
 namespace hvac::core {
+
+size_t OpenPrefix::copy(uint64_t offset, size_t count, uint8_t* out) {
+  if (offset >= size) return 0;
+  const size_t n =
+      static_cast<size_t>(std::min<uint64_t>(count, size - offset));
+  std::memcpy(out, data + offset, n);
+  uint64_t seen = read_end.load(std::memory_order_relaxed);
+  while (seen < offset + n &&
+         !read_end.compare_exchange_weak(seen, offset + n,
+                                         std::memory_order_relaxed)) {
+  }
+  return n;
+}
 
 int FdTable::insert(FdEntry entry) {
   std::lock_guard<std::mutex> lock(mutex_);

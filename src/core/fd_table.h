@@ -10,7 +10,10 @@
 // is used to track the read offset and length").
 #pragma once
 
+#include <algorithm>
+#include <atomic>
 #include <cstdint>
+#include <memory>
 #include <mutex>
 #include <optional>
 #include <string>
@@ -19,6 +22,25 @@
 #include "common/result.h"
 
 namespace hvac::core {
+
+// The first bytes of a file, handed over by a prefix-mode kOpen and
+// answered locally while the fd is open. Shared by every copy of the
+// fd's entry (FdTable::get copies entries out).
+struct OpenPrefix {
+  std::shared_ptr<const void> owner;  // keeps `data` alive (the reply)
+  const uint8_t* data = nullptr;
+  uint64_t size = 0;
+  // One past the furthest prefix byte handed to the application: what
+  // lies beyond it at close was shipped for nothing.
+  std::atomic<uint64_t> read_end{0};
+
+  // Copies [offset, offset + count) clipped to the prefix into `out`;
+  // returns the bytes copied.
+  size_t copy(uint64_t offset, size_t count, uint8_t* out);
+  uint64_t unread() const {
+    return size - std::min(size, read_end.load(std::memory_order_relaxed));
+  }
+};
 
 struct FdEntry {
   std::string logical_path;
@@ -30,10 +52,13 @@ struct FdEntry {
   int pfs_fd = -1;            // real fd when fallback_pfs
   bool segmented = false;     // true: stateless segment-granular reads
                               // (no remote fd; see core/segment.h)
-  bool path_mode = false;     // true: opened from the metadata cache
-                              // with no open RPC — reads address the
-                              // file by logical path (kReadScatter
-                              // mode 1), close has no remote state
+  bool path_mode = false;     // true: no remote fd — reads address
+                              // the file by logical path (kReadScatter
+                              // mode 1) and close is local. Packed
+                              // samples, metadata-cache hits and
+                              // prefix-mode kOpen replies open so
+  std::shared_ptr<OpenPrefix> prefix;  // prefix-mode kOpen: the first
+                                       // bytes, read locally
   bool writable = false;      // true: checkpoint write handle (remote_fd
                               // is a kWriteOpen cookie, or pfs_fd is a
                               // real O_WRONLY fd when fallback_pfs)

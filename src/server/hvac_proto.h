@@ -8,7 +8,15 @@ namespace hvac::proto {
 
 enum Opcode : uint16_t {
   kPing = 1,      // ()                 -> ()
-  kOpen = 2,      // (path)             -> (remote_fd, size, served_from)
+  kOpen = 2,      // (path [, mode u8]) -> (remote_fd, size, served_from
+                  //                       [, scatter frame])
+                  // mode is an OpenMode (below). A request without it
+                  // — an old client, the RPC micro-benches, the
+                  // latency ladder's loopback rung — is kOpenFd and
+                  // gets the three-field reply. A kOpenPrefix request
+                  // gets remote_fd 0 and a one-extent scatter frame
+                  // (rpc/wire.h) holding the file's first
+                  // min(size, kOpenPrefixBytes) bytes.
   kRead = 3,      // (remote_fd, offset, count) -> (blob)
                   // Single-extent fd read. No HVAC client sends it any
                   // more (every client read is a kReadScatter); kept
@@ -77,10 +85,29 @@ enum Opcode : uint16_t {
                      // disabled the collector.
 };
 
+// kOpen request modes.
+enum OpenMode : uint8_t {
+  kOpenFd = 0,      // registers a remote fd: reads by kReadScatter mode
+                    // 0, released by kClose
+  kOpenPrefix = 1,  // no server state: the reply carries the first
+                    // extent, reads past it go by path (kReadScatter
+                    // mode 1), and close is local to the client
+};
+
+// Bytes of a file a kOpenPrefix reply carries. Chosen from the sample
+// sizes, not tuned per run: it covers all of a log-normal 24 KiB
+// (sigma 0.6) loose-sample dataset and about 85% of ImageNet-21k's
+// 163 KiB-mean JPEGs, so a typical sample costs one round trip, while
+// a multi-MiB file pays at most this much for bytes it may not read
+// (DESIGN.md, read hot path).
+constexpr uint32_t kOpenPrefixBytes = 256u << 10;
+
 // kReadScatter source modes.
 enum ReadSourceMode : uint8_t {
-  kSourceFd = 0,       // a remote fd from kOpen
-  kSourcePath = 1,     // a logical path (no kOpen: meta cache / packed)
+  kSourceFd = 0,       // a remote fd from a kOpenFd kOpen
+  kSourcePath = 1,     // a logical path: fds with no remote fd (a
+                       // kOpenPrefix kOpen, the meta cache, packed
+                       // samples)
   kSourceSegment = 2,  // one segment of a file (paper §III-E
                        // extension): cached and homed independently
                        // under segment_key(path, seg_index)

@@ -306,7 +306,7 @@ void HvacServer::register_handlers() {
   constexpr auto kInline = rpc::DispatchHint::kInline;
   rpc_.register_handler(
       proto::kPing, timed(proto::kPing, &HvacServer::handle_ping), kInline);
-  rpc_.register_handler(
+  rpc_.register_payload_handler(
       proto::kOpen, timed(proto::kOpen, &HvacServer::handle_open), kInline);
   rpc_.register_payload_handler(
       proto::kRead, timed(proto::kRead, &HvacServer::handle_read), kInline);
@@ -378,13 +378,28 @@ Result<Bytes> HvacServer::handle_trace_dump(const Bytes&) {
   return core::encode_spans(trace::drain());
 }
 
-Result<Bytes> HvacServer::handle_open(const Bytes& req) {
+Result<rpc::Payload> HvacServer::handle_open(const Bytes& req) {
   WireReader r(req);
   HVAC_ASSIGN_OR_RETURN(std::string path, r.get_string());
+  // Trailing mode byte; an old-shape request without one opens an fd.
+  uint8_t mode = proto::kOpenFd;
+  if (!r.exhausted()) {
+    HVAC_ASSIGN_OR_RETURN(mode, r.get_u8());
+  }
+  if (mode != proto::kOpenFd && mode != proto::kOpenPrefix) {
+    return Error(ErrorCode::kInvalidArgument, "bad open mode");
+  }
+  const bool prefix = mode == proto::kOpenPrefix;
   // Packed sample: the fd hands back the *container* (fetched and
   // cached once for all its samples) with the sample's base/length
   // stamped on it; the reported size is the sample's, not the blob's.
   const PackedRoute route = route_packed(path);
+  // A prefix open holds the copy only while its reply is sent, so it
+  // takes a pinned handle; an fd keeps its own open file.
+  auto open_copy = [&] {
+    return prefix ? cache_->store().open_pinned(path)
+                  : cache_->open_cached(path);
+  };
 
   auto open_file = std::make_shared<OpenFile>();
   open_file->logical_path = path;
@@ -393,7 +408,7 @@ Result<Bytes> HvacServer::handle_open(const Bytes& req) {
     // Inline: a resident file or sample opens to completion here, with
     // no pool or mover hop. Anything else re-runs pooled.
     if (!cache_->try_hit(path)) return defer_to_pool();
-    auto f = cache_->open_cached(path);
+    auto f = open_copy();
     if (!f.ok()) {
       if (f.error().code == ErrorCode::kNotFound) return defer_to_pool();
       return f.error();
@@ -408,7 +423,7 @@ Result<Bytes> HvacServer::handle_open(const Bytes& req) {
     for (int attempt = 0; attempt < 3; ++attempt) {
       HVAC_ASSIGN_OR_RETURN(bool cached, mover_->fetch(path));
       if (!cached) break;  // capacity overflow: serve from the PFS
-      auto f = cache_->open_cached(path);
+      auto f = open_copy();
       if (f.ok()) {
         open_file->cached = std::move(f).value();
         open_file->pfs_fallback = false;
@@ -432,18 +447,27 @@ Result<Bytes> HvacServer::handle_open(const Bytes& req) {
   }
   const bool cached = !open_file->pfs_fallback;
 
-  const uint64_t remote_fd =
-      next_remote_fd_.fetch_add(1, std::memory_order_relaxed);
-  {
+  // Prefix mode registers nothing: the reply is the fd-less header plus
+  // the file's first extent, served like any read (FileExtents off the
+  // cached copy, pooled preads off the PFS file).
+  uint64_t remote_fd = 0;
+  if (!prefix) {
+    remote_fd = next_remote_fd_.fetch_add(1, std::memory_order_relaxed);
     std::lock_guard<std::mutex> lock(fds_mutex_);
     open_fds_[remote_fd] = open_file;
   }
-
   WireWriter w;
   w.put_u64(remote_fd);
   w.put_u64(open_file->size);
   w.put_u8(cached ? proto::kFromCache : proto::kFromPfsFallback);
-  return std::move(w).take();
+  if (!prefix) return rpc::Payload(std::move(w).take());
+  ReadSource src;
+  src.open_file = std::move(open_file);
+  HVAC_RETURN_IF_ERROR(resolve_source(src));
+  const auto first = static_cast<uint32_t>(
+      std::min<uint64_t>(src.limit, proto::kOpenPrefixBytes));
+  return serve_extents(src, {{0, first}}, /*blob=*/false,
+                       std::move(w).take());
 }
 
 Result<rpc::Payload> HvacServer::handle_read(const Bytes& req) {
@@ -577,7 +601,8 @@ Status HvacServer::resolve_source(ReadSource& src) {
 }
 
 Result<rpc::Payload> HvacServer::serve_extents(const ReadSource& src,
-                                               Extents want, bool blob) {
+                                               Extents want, bool blob,
+                                               Bytes lead) {
   uint64_t total = 0;
   for (auto& [off, len] : want) {
     const uint64_t avail = off < src.limit ? src.limit - off : 0;
@@ -595,7 +620,11 @@ Result<rpc::Payload> HvacServer::serve_extents(const ReadSource& src,
         w.put_u32(len);
       }
     }
-    return std::move(w).take();
+    if (lead.empty()) return std::move(w).take();
+    Bytes out = lead;
+    const Bytes& table = w.bytes();
+    out.insert(out.end(), table.begin(), table.end());
+    return out;
   };
 
   // Zero-copy hit path: hand the RPC server FileExtents — it sendfiles
@@ -620,7 +649,8 @@ Result<rpc::Payload> HvacServer::serve_extents(const ReadSource& src,
   // actual lengths are only known after the preads, so the head is
   // stamped last.
   const size_t head_size =
-      blob ? rpc::kBlobPrefix : rpc::scatter_table_size(want.size());
+      lead.size() +
+      (blob ? rpc::kBlobPrefix : rpc::scatter_table_size(want.size()));
   hvac::BufferPool::Lease lease =
       hvac::BufferPool::local().acquire(head_size + total);
   size_t cursor = head_size;

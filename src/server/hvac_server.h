@@ -145,7 +145,9 @@ class HvacServer {
 
   void register_handlers();
 
-  Result<rpc::Bytes> handle_open(const rpc::Bytes& req);
+  // kOpen: an fd-mode open registers an OpenFile; a prefix-mode one
+  // registers nothing and answers the file's first extent inline.
+  Result<rpc::Payload> handle_open(const rpc::Bytes& req);
   // Both read handlers are decode + resolve_source + serve_extents:
   // kReadScatter (every client read) answers a scatter frame, kRead
   // (kept for the benches) one blob.
@@ -211,9 +213,10 @@ class HvacServer {
   Status resolve_source(ReadSource& src);
   // Clamps `want` to the source and serves it: zero-copy FileExtents
   // off a cached copy, else preads into one pooled lease. The reply is
-  // a scatter frame, or one blob when `blob` (kRead: one extent).
+  // `lead` (a prefix-mode kOpen's header) followed by a scatter frame,
+  // or by one blob when `blob` (kRead: one extent).
   Result<rpc::Payload> serve_extents(const ReadSource& src, Extents want,
-                                     bool blob);
+                                     bool blob, rpc::Bytes lead = {});
 
   // Packed resolution for prefetch/open/stat/read paths: when `path`
   // is a packed sample, rewrites it to the container's logical path

@@ -108,11 +108,30 @@ bool LocalStore::contains(const std::string& logical_path) const {
   return entries_.count(logical_path) > 0;
 }
 
-Status LocalStore::insert(const std::string& logical_path,
-                          uint64_t size_bytes) {
+bool LocalStore::fits(uint64_t grow) const {
+  return capacity_ == 0 ||
+         bytes_used_.load(std::memory_order_relaxed) + bytes_reserved_ +
+                 grow <=
+             capacity_;
+}
+
+bool LocalStore::reserve(uint64_t bytes) {
   std::lock_guard<std::mutex> lock(mutex_);
-  if (capacity_ != 0 &&
-      bytes_used_.load(std::memory_order_relaxed) + size_bytes > capacity_) {
+  if (!fits(bytes)) return false;
+  bytes_reserved_ += bytes;
+  return true;
+}
+
+void LocalStore::release(uint64_t bytes) {
+  std::lock_guard<std::mutex> lock(mutex_);
+  bytes_reserved_ -= std::min(bytes, bytes_reserved_);
+}
+
+Status LocalStore::insert(const std::string& logical_path,
+                          uint64_t size_bytes, uint64_t reserved) {
+  std::lock_guard<std::mutex> lock(mutex_);
+  bytes_reserved_ -= std::min(reserved, bytes_reserved_);
+  if (!fits(size_bytes)) {
     return Error(ErrorCode::kCapacity,
                  "local store over capacity inserting " + logical_path);
   }
@@ -123,11 +142,11 @@ Status LocalStore::insert(const std::string& logical_path,
 }
 
 Status LocalStore::insert(const std::string& logical_path,
-                          const std::shared_ptr<ContainerSlot>& slot) {
+                          const std::shared_ptr<ContainerSlot>& slot,
+                          uint64_t reserved) {
   std::lock_guard<std::mutex> lock(mutex_);
-  if (capacity_ != 0 &&
-      bytes_used_.load(std::memory_order_relaxed) + slot->length >
-          capacity_) {
+  bytes_reserved_ -= std::min(reserved, bytes_reserved_);
+  if (!fits(slot->length)) {
     return Error(ErrorCode::kCapacity,
                  "local store over capacity inserting " + logical_path);
   }
@@ -230,8 +249,7 @@ Status LocalStore::update_size(const std::string& logical_path,
   const uint64_t old_size = it == entries_.end() ? 0 : it->second.size;
   if (new_size > old_size) {
     const uint64_t grow = new_size - old_size;
-    if (capacity_ != 0 &&
-        bytes_used_.load(std::memory_order_relaxed) + grow > capacity_) {
+    if (!fits(grow)) {
       return Error(ErrorCode::kCapacity,
                    "local store over capacity growing " + logical_path);
     }

@@ -123,15 +123,25 @@ class LocalStore {
 
   bool contains(const std::string& logical_path) const;
 
-  // Registers a file that was just copied in via physical_path().
-  // Returns kCapacity when the store is over budget (caller evicts and
-  // retries).
-  Status insert(const std::string& logical_path, uint64_t size_bytes);
+  // Sets `bytes` of the budget aside for a fill in flight: false when
+  // used plus reserved bytes leave no room for them. The fill hands the
+  // reservation to insert(), or gives it back with release().
+  bool reserve(uint64_t bytes);
+  void release(uint64_t bytes);
+
+  // Registers a file that was just copied in via physical_path(),
+  // giving back `reserved` bytes of a reserve() first (so a fill that
+  // reserved its size always fits). Returns kCapacity when the store
+  // is over budget.
+  Status insert(const std::string& logical_path, uint64_t size_bytes,
+                uint64_t reserved = 0);
 
   // Registers a sample just written into a batch container range.
-  // kCapacity as above; the caller drops the slot, freeing the range.
+  // Reservation and kCapacity as above; on kCapacity the caller drops
+  // the slot, freeing the range.
   Status insert(const std::string& logical_path,
-                const std::shared_ptr<ContainerSlot>& slot);
+                const std::shared_ptr<ContainerSlot>& slot,
+                uint64_t reserved = 0);
 
   // A new, still empty, batch container in this store's directory.
   std::shared_ptr<BatchContainer> new_container();
@@ -149,7 +159,8 @@ class LocalStore {
 
   // Records that `logical_path` now occupies `new_size` bytes (a
   // checkpoint write extended or truncated it), inserting the entry
-  // if new. kCapacity when the growth would blow the NVMe budget —
+  // if new. kCapacity when the growth would blow the NVMe budget
+  // (bytes reserved by fills in flight count as used) —
   // the write path sheds to write-through PFS mode on that.
   Status update_size(const std::string& logical_path, uint64_t new_size);
 
@@ -187,6 +198,9 @@ class LocalStore {
     std::shared_ptr<ContainerSlot> slot;  // null: a per-file copy
   };
 
+  // True when `grow` more bytes fit beside the used and reserved ones
+  // (caller holds mutex_).
+  bool fits(uint64_t grow) const;
   // Where a per-file copy of `logical_path` lives.
   std::string file_path(const std::string& logical_path) const;
   // The entry's container slot (null for a per-file copy), or
@@ -203,6 +217,7 @@ class LocalStore {
   mutable std::mutex mutex_;
   std::unordered_map<std::string, Entry> entries_;
   std::atomic<uint64_t> bytes_used_{0};
+  uint64_t bytes_reserved_ = 0;  // guarded by mutex_
   std::atomic<uint64_t> next_container_{0};
   // Serializes move_to_own_file (rare: write-opens of prefetched
   // samples) so two movers never copy the same entry at once.

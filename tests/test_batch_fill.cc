@@ -255,9 +255,10 @@ TEST(BatchFill, EvictionFreesRangesAndUnlinksTheLastContainer) {
       std::make_unique<storage::LocalStore>(cache_root, 32 * kBytes),
       core::make_eviction_policy("fifo"));
   storage::LocalStore& store = cache.store();
-  // One mover: make_room and the insert that follows are not one atomic
-  // step, so concurrent fills could race each other for the last room.
-  core::DataMover mover(&cache, /*movers=*/1);
+  // Several movers: each fill reserves its bytes while it evicts, so
+  // concurrent fills never take one another's room and answer "not
+  // cached".
+  core::DataMover mover(&cache, /*movers=*/4);
 
   auto fill = [&](size_t first) {
     auto container = store.new_container();
