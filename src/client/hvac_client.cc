@@ -110,7 +110,6 @@ Result<HvacClientOptions> options_from_env() {
   }
   o.prefetch_plan_file = env_string_or("HVAC_PREFETCH_PLAN", "");
   o.meta_ttl_ms = env_int_or("HVAC_META_TTL_MS", o.meta_ttl_ms);
-  o.open_prefix = true;  // the shim's opens are one round trip
   o.packed_enabled = env_bool_or("HVAC_PACK", true);
   o.packed_ttl_ms = env_int_or("HVAC_PACK_TTL_MS", o.packed_ttl_ms);
   const std::string durability =
@@ -446,9 +445,19 @@ Result<int> HvacClient::open(const std::string& path) {
   HVAC_ASSIGN_OR_RETURN(std::string logical, logical_path(path));
 
   // Every open advances the clairvoyant training cursor (and slides
-  // the prefetch lookahead window forward).
-  if (PrefetchScheduler* pf = prefetch_scheduler()) pf->on_access(logical);
+  // the prefetch lookahead window forward) once it is answered: a
+  // prefix kOpen's reply says whether the sample was already resident.
+  std::optional<bool> resident;
+  Result<int> vfd = open_logical(path, logical, resident);
+  if (PrefetchScheduler* pf = prefetch_scheduler()) {
+    pf->on_access(logical, resident);
+  }
+  return vfd;
+}
 
+Result<int> HvacClient::open_logical(const std::string& path,
+                                     const std::string& logical,
+                                     std::optional<bool>& resident) {
   // Packed sample: everything open() needs (size, home) comes from the
   // locally cached index — hand out a path-mode fd with zero round
   // trips. The fd homes at the *container's* home server (that is
@@ -520,7 +529,7 @@ Result<int> HvacClient::open(const std::string& path) {
     const uint32_t server = homes[attempt];
     WireWriter w;
     w.put_string(logical);
-    if (options_.open_prefix) w.put_u8(proto::kOpenPrefix);
+    w.put_u8(proto::kOpenPrefix);
     Result<rpc::Payload> resp =
         channel(server).call_payload(proto::kOpen, w.bytes());
     if (resp.ok()) {
@@ -558,10 +567,12 @@ Result<int> HvacClient::open(const std::string& path) {
         entry.prefix = std::move(prefix);
       }
       const uint64_t prefix_bytes = entry.prefix ? entry.prefix->size : 0;
+      // Only a prefix reply tells a found copy from a fetched one.
+      if (entry.prefix) resident = served_from == proto::kFromCache;
       const int vfd = fds_.insert(std::move(entry));
       meta_.put(logical,
                 MetaEntry{size, server,
-                          served_from == proto::kFromCache});
+                          served_from != proto::kFromPfsFallback});
       std::lock_guard<std::mutex> lock(stats_mutex_);
       ++stats_.remote_opens;
       stats_.prefix_bytes += prefix_bytes;

@@ -78,16 +78,6 @@ struct HvacClientOptions {
   // re-opens of a file whose {size, home, cached} is still fresh skip
   // the stat/open round trip entirely (path-mode fds). 0 disables.
   int64_t meta_ttl_ms = 3000;
-  // One-RPC opens: kOpen asks for the file's first extent
-  // (proto::kOpenPrefix) and the fd needs no server state — reads
-  // inside that prefix are answered locally, reads past it go by path,
-  // and close is local. Off: kOpen registers a remote fd that reads
-  // address and kClose releases. The interception shim turns it on
-  // (options_from_env). A client built in code keeps fd-mode opens
-  // unless it asks: its callers so far (tests of fd fail-over and
-  // per-read server accounting, the latency ladder's library rung)
-  // expect every read to reach the server.
-  bool open_prefix = false;
   // Packed-container resolution (HVAC_PACK): when the dataset carries
   // a .hvacpack index, the client fetches it once and resolves packed
   // sample paths locally — opens and stats of packed samples cost zero
@@ -263,6 +253,11 @@ class HvacClient {
   void count_wasted(size_t chunks);
 
   Result<int> open_via_pfs(const std::string& path);
+  // open() past the fault check and path mapping. Sets `resident` when
+  // a prefix kOpen answered: whether the server already held the copy.
+  Result<int> open_logical(const std::string& path,
+                           const std::string& logical,
+                           std::optional<bool>& resident);
 
   // Counts the prefix bytes of a dropped fd that were never read.
   void drop_prefix(const core::FdEntry& entry);

@@ -71,7 +71,8 @@ void PrefetchScheduler::set_plan(std::vector<std::string> logical_paths) {
   cv_.notify_all();
 }
 
-void PrefetchScheduler::on_access(const std::string& logical_path) {
+void PrefetchScheduler::on_access(const std::string& logical_path,
+                                  std::optional<bool> resident) {
   std::lock_guard<std::mutex> lock(mutex_);
   auto it = occurrences_.find(logical_path);
   if (it == occurrences_.end() || it->second.empty()) return;
@@ -81,10 +82,15 @@ void PrefetchScheduler::on_access(const std::string& logical_path) {
 
   Entry& e = plan_[idx];
   core::PrefetchCounters& g = core::PrefetchCounters::global();
-  if (e.state == State::kWarm) {
+  const bool warm =
+      resident.has_value()
+          ? *resident &&
+                (e.state == State::kWarm || e.state == State::kIssued)
+          : e.state == State::kWarm;
+  if (warm) {
     ++stats_.hit_after_prefetch;
     g.hit_after.fetch_add(1, std::memory_order_relaxed);
-  } else if (e.state == State::kIssued || e.state == State::kPending) {
+  } else if (e.state != State::kMiss) {
     // The training cursor beat the prefetch — the pipeline ran late
     // (window too shallow, pacing too tight, or the mover shed us).
     ++stats_.late;

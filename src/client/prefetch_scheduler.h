@@ -36,6 +36,7 @@
 #include <deque>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <thread>
 #include <unordered_map>
@@ -71,8 +72,7 @@ struct PrefetchSchedulerOptions {
 
 class PrefetchScheduler {
  public:
-  // Batches outstanding at once (one issue thread each). An access
-  // still counts warm only once its own batch has answered.
+  // Batches outstanding at once (one issue thread each).
   static constexpr size_t kMaxInflightBatches = 2;
 
   // `client` must outlive the scheduler (HvacClient owns it and stops
@@ -89,11 +89,17 @@ class PrefetchScheduler {
   // boundaries in wrap-padded partitions).
   void set_plan(std::vector<std::string> logical_paths);
 
-  // Advances the training cursor: the application just opened/read
+  // Advances the training cursor: the application just opened
   // `logical_path`. Paths outside the plan are ignored. Accounting:
   // a sample whose prefetch completed in time counts hit-after-
-  // prefetch; one still pending or in flight counts late.
-  void on_access(const std::string& logical_path);
+  // prefetch, one the reader reached first counts late. `resident` is
+  // what the open's kOpen reply said: true when the server already
+  // held the copy (so a prefetch still in flight for the rest of its
+  // batch had landed this sample in time), false when the open waited
+  // for a fetch or fell back to the PFS. Unset — no kOpen answered the
+  // open — only a prefetch batch that answered before the access counts.
+  void on_access(const std::string& logical_path,
+                 std::optional<bool> resident = std::nullopt);
 
   // Feeds one measured sample size into the pacing EWMA
   // (alpha = 1/8, seeded from options.est_sample_bytes). Called from

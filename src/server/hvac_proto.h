@@ -16,7 +16,9 @@ enum Opcode : uint16_t {
                   // gets the three-field reply. A kOpenPrefix request
                   // gets remote_fd 0 and a one-extent scatter frame
                   // (rpc/wire.h) holding the file's first
-                  // min(size, kOpenPrefixBytes) bytes.
+                  // min(size, kOpenPrefixBytes) bytes; its served_from
+                  // also tells a found copy from a fetched one
+                  // (ServedFrom below).
   kRead = 3,      // (remote_fd, offset, count) -> (blob)
                   // Single-extent fd read. No HVAC client sends it any
                   // more (every client read is a kReadScatter); kept
@@ -139,6 +141,12 @@ enum PrefetchStatus : uint8_t {
 enum ServedFrom : uint8_t {
   kFromCache = 0,
   kFromPfsFallback = 1,  // capacity overflow: server reads through PFS
+  // kOpenPrefix replies only: cached, but by the fetch this open waited
+  // for — the copy was not there when the open arrived. (A kOpenFd
+  // reply says kFromCache either way, as it always has.) The client's
+  // prefetch accounting tells a sample warmed in time from a late one
+  // by this.
+  kFromCacheFetched = 2,
 };
 
 // Requests larger than this are split by the client (the "bulk

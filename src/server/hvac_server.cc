@@ -404,7 +404,10 @@ Result<rpc::Payload> HvacServer::handle_open(const Bytes& req) {
   auto open_file = std::make_shared<OpenFile>();
   open_file->logical_path = path;
   open_file->pfs_fallback = true;
-  if (rpc::RpcServer::on_reactor_thread()) {
+  // Every kOpen runs inline first, so a pooled run is one whose copy
+  // was not resident when the request arrived.
+  const bool resident = rpc::RpcServer::on_reactor_thread();
+  if (resident) {
     // Inline: a resident file or sample opens to completion here, with
     // no pool or mover hop. Anything else re-runs pooled.
     if (!cache_->try_hit(path)) return defer_to_pool();
@@ -459,7 +462,9 @@ Result<rpc::Payload> HvacServer::handle_open(const Bytes& req) {
   WireWriter w;
   w.put_u64(remote_fd);
   w.put_u64(open_file->size);
-  w.put_u8(cached ? proto::kFromCache : proto::kFromPfsFallback);
+  w.put_u8(!cached              ? proto::kFromPfsFallback
+           : resident || !prefix ? proto::kFromCache
+                                 : proto::kFromCacheFetched);
   if (!prefix) return rpc::Payload(std::move(w).take());
   ReadSource src;
   src.open_file = std::move(open_file);

@@ -168,16 +168,24 @@ TEST_F(EdgeFixture, StatSizeFallsBackWhenServersDie) {
 // ---- read-ahead -----------------------------------------------------------
 
 TEST_F(EdgeFixture, ReadAheadSequentialStreamIsCorrectAndHits) {
+  // The open answers the first kOpenPrefixBytes itself; this file runs
+  // 20 KB past them, where reads reach the server.
+  const std::string rel = "long.bin";
+  const auto expected =
+      workload::expected_contents(rel, proto::kOpenPrefixBytes + 20'000);
+  ASSERT_TRUE(storage::write_file(pfs_root_ + "/" + rel, expected.data(),
+                                  expected.size())
+                  .ok());
   auto options = base_options();
-  options.read_chunk_bytes = 1024;  // 20 chunks over the 20 KB file
+  options.read_chunk_bytes = 1024;  // 20 chunks past the prefix
   options.readahead_chunks = 3;
   HvacClient client(options);
-  auto vfd = client.open(pfs_root_ + "/" + rel_);
+  auto vfd = client.open(pfs_root_ + "/" + rel);
   ASSERT_TRUE(vfd.ok());
 
   // Stream front to back in chunk-sized reads — the DL sample pattern
   // the read-ahead targets.
-  std::vector<uint8_t> data(expected_.size());
+  std::vector<uint8_t> data(expected.size());
   size_t pos = 0;
   while (pos < data.size()) {
     const auto n = client.read(*vfd, data.data() + pos, 1024);
@@ -185,8 +193,8 @@ TEST_F(EdgeFixture, ReadAheadSequentialStreamIsCorrectAndHits) {
     if (*n == 0) break;
     pos += *n;
   }
-  EXPECT_EQ(pos, expected_.size());
-  EXPECT_EQ(data, expected_);
+  EXPECT_EQ(pos, expected.size());
+  EXPECT_EQ(data, expected);
   ASSERT_TRUE(client.close(*vfd).ok());
 
   const auto s = client.stats();
@@ -340,7 +348,10 @@ TEST(HostileServer, OpensPassReadsDroppedDegradesToPfsExactly) {
 TEST(HostileServer, RecoveryBudgetExhaustsWithoutPfsFallback) {
   const std::string pfs_root = temp_dir("budget_pfs");
   const std::string rel = "b.bin";
-  const auto expected = workload::expected_contents(rel, 8'000);
+  // Longer than the open's prefix: the read below lies past it, so it
+  // needs a read request.
+  const auto expected =
+      workload::expected_contents(rel, proto::kOpenPrefixBytes + 8'000);
   ASSERT_TRUE(storage::write_file(pfs_root + "/" + rel,
                                   expected.data(), expected.size())
                   .ok());
@@ -368,7 +379,8 @@ TEST(HostileServer, RecoveryBudgetExhaustsWithoutPfsFallback) {
 
   uint8_t buf[256];
   const auto t0 = std::chrono::steady_clock::now();
-  const auto n = client.pread(*vfd, buf, sizeof(buf), 0);
+  const auto n =
+      client.pread(*vfd, buf, sizeof(buf), proto::kOpenPrefixBytes);
   const auto elapsed = std::chrono::steady_clock::now() - t0;
   ASSERT_FALSE(n.ok());
   EXPECT_EQ(n.error().code, ErrorCode::kUnavailable);

@@ -298,14 +298,15 @@ TEST(HitPath, PackedScatterMissesCountOnceAndEofCostsNoRpc) {
             all_op_counts(frame));
 }
 
-TEST(HitPath, FdModeReadToEofIsOneReadRpc) {
-  Allocation alloc("fd_eof", 16, /*packed=*/false);
+TEST(HitPath, PrefixReadToEofIsOneOpenRpc) {
+  Allocation alloc("prefix_eof", 16, /*packed=*/false);
   HvacClientOptions options = alloc.client_options();
-  options.meta_ttl_ms = 0;  // every open is a kOpen: fd-mode reads
+  options.meta_ttl_ms = 0;  // every open is a kOpen
   HvacClient client(options);
   const size_t files = alloc.tree.relative_paths.size();
-  // Cold pass (opens fetch through the mover), then a warm pass. A buffer of
-  // exactly the file size leaves the final read at offset == size.
+  // Cold pass (opens fetch through the mover), then a warm pass. Every
+  // file fits the open's prefix, and a buffer of exactly the file size
+  // leaves the final read at offset == size: no read reaches the server.
   for (int pass = 0; pass < 2; ++pass) {
     for (size_t i = 0; i < files; ++i) {
       auto data = read_to_eof(client, alloc.abs(i), alloc.tree.sizes[i]);
@@ -316,8 +317,9 @@ TEST(HitPath, FdModeReadToEofIsOneReadRpc) {
   }
   const core::MetricsFrame frame = alloc.node->aggregated_frame();
   EXPECT_EQ(op_count(frame, proto::kOpen), 2 * files);
-  EXPECT_EQ(op_count(frame, proto::kReadScatter), 2 * files);
+  EXPECT_EQ(op_count(frame, proto::kReadScatter), 0u);
   EXPECT_EQ(op_count(frame, proto::kRead), 0u);
+  EXPECT_EQ(op_count(frame, proto::kClose), 0u);
   EXPECT_EQ(frame.cache.misses, files);
   EXPECT_EQ(frame.cache.hits, files);
   EXPECT_EQ(alloc.node->instance(0).rpc().requests_served(),
@@ -369,6 +371,84 @@ Bytes scatter_reply(const std::vector<uint8_t>& file,
   Bytes out = std::move(w).take();
   out.insert(out.end(), data.begin(), data.end());
   return out;
+}
+
+// ---- fd mode against an old-shape server -----------------------------
+
+TEST(HitPath, FdModeReadToEofIsOneReadRpc) {
+  // A scripted server from before prefix opens: kOpen ignores the mode
+  // byte and answers a bare header with a remote fd, so the client
+  // reads by fd and closes remotely. A buffer of exactly the file size
+  // leaves the final read at offset == size, which the client answers
+  // without a round trip.
+  const std::vector<std::string> names = {"a.bin", "b.bin", "c.bin"};
+  std::vector<std::vector<uint8_t>> contents;
+  for (size_t i = 0; i < names.size(); ++i) {
+    contents.push_back(workload::expected_contents(names[i], 1000 + 900 * i));
+  }
+  std::atomic<int> opens{0};
+  std::atomic<int> fd_scatters{0};
+  std::atomic<int> other_scatters{0};
+  std::atomic<int> closes{0};
+  rpc::RpcServerOptions so;
+  so.reactors = 1;
+  rpc::RpcServer fake(so);
+  fake.register_handler(proto::kOpen, [&](const Bytes& req) -> Result<Bytes> {
+    ++opens;
+    WireReader r(req);
+    const std::string name = *r.get_string();
+    for (size_t i = 0; i < names.size(); ++i) {
+      if (name != names[i]) continue;
+      WireWriter w;
+      w.put_u64(i + 1);  // remote fd
+      w.put_u64(contents[i].size());
+      w.put_u8(proto::kFromCache);
+      return std::move(w).take();
+    }
+    return Error(ErrorCode::kNotFound, name);
+  });
+  fake.register_handler(proto::kClose, [&](const Bytes&) -> Result<Bytes> {
+    ++closes;
+    return Bytes{};
+  });
+  fake.register_handler(proto::kReadScatter,
+                        [&](const Bytes& req) -> Result<Bytes> {
+    const ScatterRequest sr = parse_scatter(req);
+    if (sr.mode != proto::kSourceFd) {
+      ++other_scatters;
+      return Error(ErrorCode::kInvalidArgument, "not an fd read");
+    }
+    ++fd_scatters;
+    WireReader r(req);
+    (void)r.get_u8();
+    const uint64_t fd = *r.get_u64();
+    return scatter_reply(contents.at(fd - 1), sr.extents, UINT32_MAX);
+  });
+  ASSERT_TRUE(fake.start().ok());
+
+  const std::string root = temp_dir("fd_eof_pfs");
+  HvacClientOptions o;
+  o.dataset_dir = root;
+  o.server_endpoints = {fake.endpoint().address};
+  o.packed_enabled = false;
+  o.meta_ttl_ms = 0;  // every open is a kOpen
+  HvacClient client(o);
+  const int files = static_cast<int>(names.size());
+  for (int pass = 0; pass < 2; ++pass) {
+    for (int i = 0; i < files; ++i) {
+      auto data = read_to_eof(client, root + "/" + names[i],
+                              contents[i].size());
+      ASSERT_TRUE(data.ok()) << data.error().to_string();
+      EXPECT_EQ(*data, contents[i]);
+    }
+  }
+  EXPECT_EQ(opens.load(), 2 * files);
+  EXPECT_EQ(fd_scatters.load(), 2 * files);
+  EXPECT_EQ(other_scatters.load(), 0);
+  EXPECT_EQ(closes.load(), 2 * files);
+  EXPECT_EQ(client.stats().reads, 4u * files);  // EOF reads still count
+  EXPECT_EQ(client.stats().prefix_bytes, 0u);
+  fake.stop();
 }
 
 // ---- short read mid-file --------------------------------------------------

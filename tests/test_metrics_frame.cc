@@ -1140,12 +1140,14 @@ TEST(MetricsFrameAggregation, NodeRuntimeAggregatesInstances) {
   // The segment reads went through the pinned-handle cache.
   EXPECT_GE(total.handle_cache.misses, 1u);
   EXPECT_GE(total.handle_cache.hits, 1u);
-  // Every open/read/close pair shows up in the per-op histograms: the
-  // client's reads and the two segment reads are all kReadScatter.
+  // Every request shows up in the per-op histograms: each open is one
+  // kOpen whose prefix answered the client's read, and the two segment
+  // reads are kReadScatter.
   ASSERT_EQ(total.op_latency.count(proto::kReadScatter), 1u);
-  EXPECT_EQ(total.op_latency.at(proto::kReadScatter).count,
-            2 * tree->relative_paths.size() + 2);
+  EXPECT_EQ(total.op_latency.at(proto::kReadScatter).count, 2u);
   ASSERT_EQ(total.op_latency.count(proto::kOpen), 1u);
+  EXPECT_EQ(total.op_latency.at(proto::kOpen).count,
+            2 * tree->relative_paths.size());
   EXPECT_GT(total.op_latency.at(proto::kOpen).percentile_ns(99), 0.0);
 
   // Process-global sections must not double-count across the two

@@ -6,8 +6,9 @@
 // files smaller than, equal to and larger than the prefix and for an
 // empty file; a copy evicted (or a server lost) between open and read;
 // the per-opcode server counts of a fitting sample; the old request
-// shape still opening a remote fd for kRead/kClose; and the prefix
-// byte accounting.
+// shape still opening a remote fd for kRead/kClose; the reply telling
+// a copy the open found from one it waited for; and the prefix byte
+// accounting.
 #include <fcntl.h>
 #include <gtest/gtest.h>
 #include <unistd.h>
@@ -81,7 +82,6 @@ struct PrefixNode {
     HvacClientOptions o;
     o.dataset_dir = pfs_root;
     o.server_endpoints = node->endpoints();
-    o.open_prefix = true;
     o.meta_ttl_ms = 0;  // every open is a kOpen
     return o;
   }
@@ -392,13 +392,27 @@ TEST(OpenPrefix, UnreadPrefixBytesAreCountedAtClose) {
   n.node->stop();
 }
 
-TEST(OpenPrefix, ClientDefaultsKeepFdModeAndTheShimTurnsPrefixesOn) {
-  EXPECT_FALSE(HvacClientOptions{}.open_prefix);
-  ASSERT_EQ(::setenv("HVAC_DATASET_DIR", "/data", 1), 0);
-  ASSERT_EQ(::setenv("HVAC_SERVERS", "127.0.0.1:1", 1), 0);
-  EXPECT_TRUE(client::options_from_env()->open_prefix);
-  ::unsetenv("HVAC_DATASET_DIR");
-  ::unsetenv("HVAC_SERVERS");
+TEST(OpenPrefix, ReplySaysWhetherTheCopyWasFoundOrFetched) {
+  PrefixNode n("found", {10'000, 10'000});
+  rpc::RpcClient rpc(rpc::Endpoint{n.node->endpoints()[0]});
+  const auto served_from = [&](size_t i, uint8_t mode) -> int {
+    WireWriter w;
+    w.put_string(n.names[i]);
+    w.put_u8(mode);
+    auto reply = rpc.call(proto::kOpen, w);
+    if (!reply.ok()) return -1;
+    WireReader r(*reply);
+    (void)r.get_u64();
+    (void)r.get_u64();
+    return r.get_u8().value_or(0xff);
+  };
+  // A cold prefix open waits for the mover's fetch; the next one finds
+  // the copy.
+  EXPECT_EQ(served_from(0, proto::kOpenPrefix), proto::kFromCacheFetched);
+  EXPECT_EQ(served_from(0, proto::kOpenPrefix), proto::kFromCache);
+  // An fd-mode reply says kFromCache for a fetched copy, as before.
+  EXPECT_EQ(served_from(1, proto::kOpenFd), proto::kFromCache);
+  n.node->stop();
 }
 
 TEST(StoreReservation, ReservedBytesCountAsUsedUntilInsertOrRelease) {

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <filesystem>
@@ -535,6 +536,93 @@ TEST(PrefetchSchedulerE2E, KeepsTwoBatchesInFlight) {
   EXPECT_EQ(s.issued, 16u);
   EXPECT_EQ(s.completed, 16u);
   EXPECT_EQ(max_holding.load(), 2);
+  fake.stop();
+}
+
+TEST(PrefetchSchedulerE2E, AccessDuringItsBatchCountsByTheOpenReply) {
+  // A scripted server holds the plan's one kPrefetchBatch while the
+  // reader opens every sample, so each access finds its entry still in
+  // flight. The kOpen reply decides: a prefix reply with a copy the
+  // server already held counts hit-after-prefetch; a fetched copy, a
+  // PFS fallback and an old-shape reply (which cannot tell) count late.
+  const std::vector<std::string> names = {"found.bin", "fetched.bin",
+                                          "pfs.bin", "old.bin"};
+  const std::vector<uint8_t> served = {proto::kFromCache,
+                                       proto::kFromCacheFetched,
+                                       proto::kFromPfsFallback,
+                                       proto::kFromCache};
+  constexpr uint64_t kSize = 100;
+  std::atomic<bool> batch_held{false};
+  std::atomic<bool> release{false};
+  rpc::RpcServerOptions so;
+  so.reactors = 1;
+  so.handler_threads = 4;  // the held batch must not starve the opens
+  rpc::RpcServer fake(so);
+  fake.register_handler(proto::kPrefetchBatch,
+                        [&](const rpc::Bytes& req) -> Result<rpc::Bytes> {
+    batch_held = true;
+    for (int i = 0; i < 500 && !release; ++i) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    }
+    rpc::WireReader r(req);
+    HVAC_ASSIGN_OR_RETURN(const uint32_t n, r.get_u32());
+    rpc::WireWriter w;
+    w.put_u32(n);
+    for (uint32_t i = 0; i < n; ++i) w.put_u8(proto::kPrefetchCached);
+    return std::move(w).take();
+  });
+  fake.register_handler(proto::kOpen,
+                        [&](const rpc::Bytes& req) -> Result<rpc::Bytes> {
+    rpc::WireReader r(req);
+    HVAC_ASSIGN_OR_RETURN(const std::string name, r.get_string());
+    const size_t i = static_cast<size_t>(
+        std::find(names.begin(), names.end(), name) - names.begin());
+    if (i == names.size()) return Error(ErrorCode::kNotFound, name);
+    rpc::WireWriter w;
+    w.put_u64(name == "old.bin" ? 7 : 0);
+    w.put_u64(kSize);
+    w.put_u8(served[i]);
+    if (name != "old.bin") {  // one extent: the whole sample
+      w.put_u32(1);
+      w.put_u64(0);
+      w.put_u32(kSize);
+      for (uint64_t b = 0; b < kSize; ++b) w.put_u8(0);
+    }
+    return std::move(w).take();
+  });
+  fake.register_handler(proto::kClose, [](const rpc::Bytes&)
+                                           -> Result<rpc::Bytes> {
+    return rpc::Bytes{};
+  });
+  ASSERT_TRUE(fake.start().ok());
+
+  HvacClientOptions copts;
+  copts.dataset_dir = temp_dir("open_reply_accounting");
+  copts.server_endpoints = {fake.endpoint().address};
+  copts.readahead_chunks = 0;
+  copts.packed_enabled = false;
+  copts.meta_ttl_ms = 0;
+  copts.prefetch_depth = 64;
+  HvacClient client(copts);
+  std::vector<std::string> plan;
+  for (const auto& name : names) plan.push_back(copts.dataset_dir + "/" + name);
+  client.set_access_plan(plan);
+  for (int i = 0; i < 500 && !batch_held; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  ASSERT_TRUE(batch_held.load());
+
+  for (const auto& path : plan) {
+    auto vfd = client.open(path);
+    ASSERT_TRUE(vfd.ok()) << vfd.error().message;
+    ASSERT_TRUE(client.close(*vfd).ok());
+  }
+  const PrefetchScheduler::Stats s = client.prefetch_scheduler()->stats();
+  release = true;
+  EXPECT_EQ(s.cursor, 4u);
+  EXPECT_EQ(s.hit_after_prefetch, 1u);
+  EXPECT_EQ(s.late, 3u);
+  client.prefetch_scheduler()->wait_caught_up();
   fake.stop();
 }
 

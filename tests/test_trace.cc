@@ -18,6 +18,7 @@
 #include "common/trace.h"
 #include "core/trace_wire.h"
 #include "rpc/protocol.h"
+#include "server/hvac_proto.h"
 #include "server/node_runtime.h"
 #include "workload/file_tree.h"
 
@@ -173,8 +174,10 @@ TEST(Trace, EndToEndSpanTreeAcrossRetryAndZeroCopy) {
 
   const std::string pfs_root = temp_dir("pfs");
   const std::string cache_root = temp_dir("cache");
+  // 64 KiB past the open's prefix: the traced read below covers them.
   auto generated = workload::generate_tree(
-      pfs_root, workload::synthetic_small(4, 1 << 16, 0.0));
+      pfs_root,
+      workload::synthetic_small(4, proto::kOpenPrefixBytes + (1 << 16), 0.0));
   ASSERT_TRUE(generated.ok());
 
   NodeRuntimeOptions no;
@@ -194,6 +197,7 @@ TEST(Trace, EndToEndSpanTreeAcrossRetryAndZeroCopy) {
   const std::string path =
       pfs_root + "/" + generated->relative_paths[0];
   const size_t file_size = generated->sizes[0];
+  const size_t tail = file_size - proto::kOpenPrefixBytes;
 
   // ---- Miss path: first open populates the cache via the mover.
   {
@@ -228,14 +232,23 @@ TEST(Trace, EndToEndSpanTreeAcrossRetryAndZeroCopy) {
   trace::drain();  // only the traced read below matters
   ASSERT_TRUE(
       fault::configure("rpc_send:error=unavailable:count=1").ok());
-  std::vector<uint8_t> buf(file_size);
-  const auto n = hvac.pread(*vfd, buf.data(), buf.size(), 0);
+  std::vector<uint8_t> buf(tail);
+  const auto n =
+      hvac.pread(*vfd, buf.data(), buf.size(), proto::kOpenPrefixBytes);
   fault::reset();
   ASSERT_TRUE(n.ok()) << n.error().to_string();
-  EXPECT_EQ(*n, file_size);
+  EXPECT_EQ(*n, tail);
   ASSERT_TRUE(hvac.close(*vfd).ok());
 
-  const auto spans = trace::drain();
+  // The server ends its send span after the reply is on the wire, and
+  // the local close sends nothing that would wait for it: let it land.
+  std::vector<trace::SpanRecord> spans;
+  for (int i = 0; i < 500 && (named(spans, "server.dispatch").empty() ||
+                              named(spans, "server.send").empty());
+       ++i) {
+    for (const auto& s : trace::drain()) spans.push_back(s);
+    ::usleep(10 * 1000);
+  }
   const auto preads = named(spans, "client.pread");
   ASSERT_EQ(preads.size(), 1u);
   const auto& root = preads[0];
@@ -260,7 +273,7 @@ TEST(Trace, EndToEndSpanTreeAcrossRetryAndZeroCopy) {
   ASSERT_EQ(in_trace("server.queue").size(), 1u);
   ASSERT_EQ(in_trace("server.send").size(), 1u);
   ASSERT_EQ(in_trace("zc.sendfile").size(), 1u);
-  EXPECT_EQ(in_trace("zc.sendfile")[0].arg, file_size);
+  EXPECT_EQ(in_trace("zc.sendfile")[0].arg, tail);
 
   // Connectivity: walk parents from the deepest span (the sendfile
   // rung) back up to the client read — one unbroken chain.
